@@ -574,13 +574,14 @@ impl ClientSession {
         self.spans.snapshot()
     }
 
-    /// Waits for a message matching `want`. Commit traffic for other
-    /// in-flight transactions (outcomes, rejections) is stashed for
+    /// Waits for a message `want` accepts; `want` hands back what it
+    /// declines. Declined commit traffic for other in-flight
+    /// transactions (outcomes, rejections) is stashed for
     /// [`ClientSession::drain_outcomes`]; anything else is dropped.
     fn wait_for<T>(
         &mut self,
         what: &'static str,
-        want: impl FnMut(NodeId, Message) -> Option<T>,
+        want: impl FnMut(NodeId, Message) -> Result<T, Box<Message>>,
     ) -> Result<T, ClientError> {
         let deadline = Instant::now() + self.op_timeout;
         self.wait_for_until(what, deadline, want)
@@ -591,7 +592,7 @@ impl ClientSession {
         &mut self,
         what: &'static str,
         deadline: Instant,
-        mut want: impl FnMut(NodeId, Message) -> Option<T>,
+        mut want: impl FnMut(NodeId, Message) -> Result<T, Box<Message>>,
     ) -> Result<T, ClientError> {
         loop {
             let now = Instant::now();
@@ -610,22 +611,16 @@ impl ClientSession {
                         continue;
                     };
                     match want(env.from, msg) {
-                        Some(out) => return Ok(out),
-                        None => {
-                            // `want` consumed the message; nothing to
-                            // stash — it only declines by returning
-                            // None *without* taking ownership semantics
-                            // we can observe, so re-decode to check for
-                            // commit traffic worth keeping.
-                            if let Ok(msg) = Message::decode(&env.payload) {
-                                if matches!(
-                                    msg,
-                                    Message::Outcome { .. } | Message::EndTxnRejected { .. }
-                                ) {
-                                    self.stash.push_back(msg);
-                                }
-                            }
+                        Ok(out) => return Ok(out),
+                        Err(msg)
+                            if matches!(
+                                *msg,
+                                Message::Outcome { .. } | Message::EndTxnRejected { .. }
+                            ) =>
+                        {
+                            self.stash.push_back(*msg);
                         }
+                        Err(_) => {}
                     }
                 }
                 Err(fides_net::RecvError::Timeout) => return Err(ClientError::Timeout(what)),
@@ -666,16 +661,16 @@ impl ClientSession {
                 value,
                 rts,
                 wts,
-            } if t == handle && k == want_key => Some(Ok(ReadEntry {
+            } if t == handle && k == want_key => Ok(Ok(ReadEntry {
                 key: k,
                 value,
                 rts,
                 wts,
             })),
             Message::ReadErr { txn: t, key: k } if t == handle && k == want_key => {
-                Some(Err(ClientError::NoSuchKey(k)))
+                Ok(Err(ClientError::NoSuchKey(k)))
             }
-            _ => None,
+            other => Err(Box::new(other)),
         })??;
         // Lamport rule: our next timestamp must exceed what we observed.
         self.oracle
@@ -707,8 +702,8 @@ impl ClientSession {
                 txn: t,
                 key: k,
                 old,
-            } if t == handle && k == want_key => Some(old),
-            _ => None,
+            } if t == handle && k == want_key => Ok(old),
+            other => Err(Box::new(other)),
         })?;
 
         let was_read = txn.read_keys.contains(key);
@@ -770,12 +765,12 @@ impl ClientSession {
             }
             let reply = self.wait_for("transaction outcome", move |_, msg| match msg {
                 Message::Outcome { handles, block } if handles.contains(&handle) => {
-                    Some(Reply::Outcome(Box::new(block)))
+                    Ok(Reply::Outcome(Box::new(block)))
                 }
                 Message::EndTxnRejected { handle: h, hint } if h == handle => {
-                    Some(Reply::Rejected(hint))
+                    Ok(Reply::Rejected(hint))
                 }
-                _ => None,
+                other => Err(Box::new(other)),
             })?;
 
             match reply {
@@ -1326,14 +1321,14 @@ impl ClientSession {
                     header,
                     proof,
                     ..
-                } if reqs.contains(&req) => Some(Reply::Resp(
+                } if reqs.contains(&req) => Ok(Reply::Resp(
                     req,
                     (root_height, covered_height, header, proof),
                 )),
                 Message::SnapshotReadRefused { req, reason } if reqs.contains(&req) => {
-                    Some(Reply::Refused(req, reason))
+                    Ok(Reply::Refused(req, reason))
                 }
-                _ => None,
+                other => Err(Box::new(other)),
             });
             let reply = match reply {
                 Ok(reply) => reply,
@@ -1601,7 +1596,7 @@ impl ClientSession {
                         header,
                         proof,
                         ..
-                    } if r == req && s == shard && from == want_from => Some(Reply::Resp {
+                    } if r == req && s == shard && from == want_from => Ok(Reply::Resp {
                         root_height,
                         covered: covered_height,
                         header,
@@ -1610,9 +1605,9 @@ impl ClientSession {
                     Message::SnapshotReadRefused { req: r, reason }
                         if r == req && from == want_from =>
                     {
-                        Some(Reply::Refused(reason))
+                        Ok(Reply::Refused(reason))
                     }
-                    _ => None,
+                    other => Err(Box::new(other)),
                 });
             let reply = match reply {
                 Ok(reply) => reply,
@@ -1670,8 +1665,8 @@ impl ClientSession {
         let want_from = server_node(target);
         let headers =
             self.wait_for_until("root announce", deadline, move |from, msg| match msg {
-                Message::RootAnnounce { headers } if from == want_from => Some(headers),
-                _ => None,
+                Message::RootAnnounce { headers } if from == want_from => Ok(headers),
+                other => Err(Box::new(other)),
             })?;
         let ctx = self.read.as_mut().expect("read context exists");
         for header in &headers {

@@ -15,6 +15,7 @@
 //! The 2PC baseline (§6.1) uses the `TwoPc*` variants.
 
 use core::fmt;
+use std::sync::Arc;
 
 use fides_crypto::cosi;
 use fides_crypto::encoding::{Decodable, DecodeError, Decoder, Encodable, Encoder};
@@ -305,8 +306,9 @@ pub enum Message {
     RepairCheckpointRequest,
     /// The mirrored checkpoint, or `None` when the peer holds none.
     RepairCheckpoint {
-        /// The requester's own shard image, as last mirrored.
-        snapshot: Option<Box<ShardSnapshot>>,
+        /// The requester's own shard image, as last mirrored (shared
+        /// with the holder's mirror entry, not copied).
+        snapshot: Option<Arc<ShardSnapshot>>,
     },
     /// Broadcast after a server saves a snapshot: peers persist the
     /// mirror so the origin's shard state stays recoverable even after
@@ -314,8 +316,9 @@ pub enum Message {
     /// checkpoints — the precondition that makes pruning safe
     /// fleet-wide).
     CheckpointMirror {
-        /// The origin's shard image.
-        snapshot: Box<ShardSnapshot>,
+        /// The origin's shard image (one capture, shared by the
+        /// broadcast, the local save and the receiving holder).
+        snapshot: Arc<ShardSnapshot>,
     },
 
     // ------------------------------------------------------------------
@@ -996,10 +999,10 @@ impl Decodable for Message {
             },
             25 => Message::RepairCheckpointRequest,
             26 => Message::RepairCheckpoint {
-                snapshot: dec.take_option(|d| ShardSnapshot::decode_from(d).map(Box::new))?,
+                snapshot: dec.take_option(|d| ShardSnapshot::decode_from(d).map(Arc::new))?,
             },
             27 => Message::CheckpointMirror {
-                snapshot: Box::new(ShardSnapshot::decode_from(dec)?),
+                snapshot: Arc::new(ShardSnapshot::decode_from(dec)?),
             },
             28 => Message::Durable {
                 height: dec.take_u64()?,
@@ -1248,13 +1251,12 @@ mod tests {
             Digest::new([5; 32]),
             Timestamp::new(7, 0),
         );
+        let snapshot = Arc::new(snapshot);
         roundtrip(Message::RepairCheckpoint {
-            snapshot: Some(Box::new(snapshot.clone())),
+            snapshot: Some(Arc::clone(&snapshot)),
         });
         roundtrip(Message::RepairCheckpoint { snapshot: None });
-        roundtrip(Message::CheckpointMirror {
-            snapshot: Box::new(snapshot),
-        });
+        roundtrip(Message::CheckpointMirror { snapshot });
         roundtrip(Message::Durable { height: 3 });
     }
 

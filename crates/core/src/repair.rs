@@ -34,6 +34,7 @@
 //! such until the configured grace deadline.
 
 use core::fmt;
+use std::sync::Arc;
 use std::time::Instant;
 
 use fides_crypto::schnorr::PublicKey;
@@ -47,6 +48,7 @@ use fides_store::types::Timestamp;
 use crate::messages::CommitProtocol;
 use crate::partition::Partitioner;
 use crate::recovery::replay_block;
+use crate::server::MirrorReadState;
 
 /// Why a transfer from a peer was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -128,9 +130,24 @@ pub struct RepairShared {
     pub completions: u64,
     /// Refuted transfer attempts (Byzantine peers), in detection order.
     pub evidence: Vec<RepairEvidence>,
-    /// Peers' checkpoints mirrored here (origin → newest snapshot) —
-    /// served back to an origin that lost its disk.
-    pub mirrors: std::collections::HashMap<u32, ShardSnapshot>,
+    /// Peers' checkpoints mirrored here (origin → newest mirror) —
+    /// served back to an origin that lost its disk, and to readers of
+    /// the origin's shard.
+    pub mirrors: std::collections::HashMap<u32, MirrorEntry>,
+}
+
+/// One peer's checkpoint held here. The image is shared, never copied:
+/// this entry, the durability pipeline and repair responses hold the
+/// same `Arc`. Superseding a mirror replaces the whole entry, so a read
+/// in flight keeps the old serving state — exactly one co-signed root.
+#[derive(Debug)]
+pub struct MirrorEntry {
+    /// The origin's checkpoint image.
+    pub snapshot: Arc<ShardSnapshot>,
+    /// The serving state built from the shard that the receipt check
+    /// restored. `None` only for a mirror reloaded from disk at
+    /// restart, until its first read restores it.
+    pub(crate) reads: Option<Arc<MirrorReadState>>,
 }
 
 /// The outcome of a verified transfer: state ready to install.

@@ -71,7 +71,7 @@ use crate::messages::{CommitProtocol, InvolvedVote, Message, PartialBlock, Refus
 use crate::occ;
 use crate::partition::Partitioner;
 use crate::recovery::{Durability, RecoveredServer};
-use crate::repair::{verify_transfer, RepairEvidence, RepairFault, RepairShared};
+use crate::repair::{verify_transfer, MirrorEntry, RepairEvidence, RepairFault, RepairShared};
 use crate::telemetry::ServerTelemetry;
 use fides_telemetry::trace::now_ns;
 use fides_telemetry::{FlightRecorder, Level, Span, Stage, Stall, Stopwatch, TraceContext};
@@ -184,20 +184,25 @@ pub struct ShardStage {
 }
 
 /// A mirror's read-serving state, built once per mirrored checkpoint
-/// and swapped **atomically** (one `Arc` per checkpoint): a read served
-/// mid-supersede sees exactly one `(shard, root)` pair, never a torn
-/// mix of old and new mirror.
+/// from the shard its receipt check restored, and swapped
+/// **atomically** with its [`crate::repair::MirrorEntry`] (one `Arc`
+/// per checkpoint): a read served mid-supersede sees exactly one
+/// `(shard, root)` pair, never a torn mix of old and new mirror.
 #[derive(Debug)]
-struct MirrorReadState {
+pub(crate) struct MirrorReadState {
     /// The mirrored checkpoint's applied height (= coverage watermark).
     covered: u64,
-    /// Applied height of the co-signed root anchoring the mirror.
-    root_height: u64,
-    /// The root's carrier (`None` = genesis).
-    header: Option<BlockHeader>,
     /// The restored shard the proofs are generated from.
     shard: AuthenticatedShard,
+    /// The co-signed root anchoring the mirror. Set by the first read
+    /// that finds it in the local ledger and whose header matches
+    /// `shard`'s root.
+    anchor: std::sync::OnceLock<MirrorAnchor>,
 }
+
+/// A mirror's co-signed anchor: `(applied root height, carrier header)`
+/// (`None` header = genesis).
+type MirrorAnchor = (u64, Option<BlockHeader>);
 
 /// The ledger stage: the replicated log plus the audit evidence this
 /// server accumulates.
@@ -233,11 +238,9 @@ pub struct ServerState {
     /// Persistence engine (`None` = original memory-only behavior).
     durability: parking_lot::Mutex<Option<Durability>>,
     /// Repair-plane state: lagging/repairing status, refuted-transfer
-    /// evidence, and peers' checkpoint mirrors.
+    /// evidence, and peers' checkpoint mirrors with their read-serving
+    /// state.
     repair: parking_lot::Mutex<RepairShared>,
-    /// Per-origin mirror read-serving state, rebuilt lazily whenever a
-    /// newer mirror supersedes the cached one (see [`MirrorReadState`]).
-    mirror_reads: parking_lot::Mutex<HashMap<u32, Arc<MirrorReadState>>>,
     /// Lock-free metric handles (stage timers, counters, event ring).
     /// Recording never takes a stage lock; snapshots go through
     /// [`ServerState::metrics`].
@@ -288,7 +291,6 @@ impl ServerState {
             ledger: parking_lot::Mutex::new(LedgerStage::default()),
             durability: parking_lot::Mutex::new(None),
             repair: parking_lot::Mutex::new(RepairShared::default()),
-            mirror_reads: parking_lot::Mutex::new(HashMap::new()),
             telemetry: ServerTelemetry::new(idx as u64),
         }
     }
@@ -299,7 +301,18 @@ impl ServerState {
     pub(crate) fn recovered(idx: u32, behavior: Behavior, recovered: RecoveredServer) -> Self {
         let applied_height = recovered.log.next_height();
         let repair = RepairShared {
-            mirrors: recovered.mirrors.into_iter().collect(),
+            // Reloaded mirrors restore lazily, on their first read.
+            mirrors: recovered
+                .mirrors
+                .into_iter()
+                .map(|(origin, snapshot)| {
+                    let entry = MirrorEntry {
+                        snapshot: Arc::new(snapshot),
+                        reads: None,
+                    };
+                    (origin, entry)
+                })
+                .collect(),
             // A provisionally adopted checkpoint (snapshot ahead of a
             // torn WAL) starts the server in `Repairing`: it must not
             // serve commit votes until a peer's co-signed chain
@@ -326,7 +339,6 @@ impl ServerState {
             }),
             durability: parking_lot::Mutex::new(Some(recovered.durability)),
             repair: parking_lot::Mutex::new(repair),
-            mirror_reads: parking_lot::Mutex::new(HashMap::new()),
             telemetry: ServerTelemetry::new(idx as u64),
         }
     }
@@ -427,7 +439,7 @@ impl ServerState {
         let mut heights: Vec<(u32, u64)> = repair
             .mirrors
             .iter()
-            .map(|(origin, snap)| (*origin, snap.height))
+            .map(|(origin, held)| (*origin, held.snapshot.height))
             .collect();
         heights.sort_unstable();
         heights
@@ -694,7 +706,10 @@ struct RepairTask {
     /// A transferred checkpoint of this server's own shard, staged when
     /// peers pruned below `base_height` (verified internally on
     /// receipt; cross-checked against co-signed roots at install).
-    checkpoint: Option<ShardSnapshot>,
+    checkpoint: Option<Arc<ShardSnapshot>>,
+    /// The shard the receipt check restored from `checkpoint`: the
+    /// replay base at install, so the image is restored only once.
+    checkpoint_shard: Option<AuthenticatedShard>,
     /// Blocks staged so far, consecutive from `base_height`.
     staged: Vec<Block>,
     /// The tip to reach (grows if the serving peer advances).
@@ -1068,6 +1083,16 @@ impl Server {
                     gauge.set((now_ns() / 1_000_000) as i64);
                 }
                 if let Ok(msg) = Message::decode(&env.payload) {
+                    if matches!(
+                        msg,
+                        Message::RepairBlocks { .. } | Message::RepairCheckpoint { .. }
+                    ) {
+                        // Transfer volume as received, never re-encoded.
+                        self.state
+                            .telemetry
+                            .repair_bytes
+                            .add(env.payload.len() as u64);
+                    }
                     self.inbox.push_back((env.from, msg, env.trace));
                 }
             }
@@ -1159,8 +1184,11 @@ impl Server {
     }
 
     fn send_traced(&self, to: NodeId, msg: &Message, trace: Option<TraceContext>) {
-        let env =
-            Envelope::sign_traced(&self.keypair, self.endpoint.node(), to, msg.encode(), trace);
+        self.send_payload(to, msg.encode(), trace);
+    }
+
+    fn send_payload(&self, to: NodeId, payload: Vec<u8>, trace: Option<TraceContext>) {
+        let env = Envelope::sign_traced(&self.keypair, self.endpoint.node(), to, payload, trace);
         self.endpoint.send(env);
     }
 
@@ -1168,10 +1196,13 @@ impl Server {
         self.broadcast_to_servers_traced(msg, None);
     }
 
+    /// Encodes `msg` once and signs it once per peer (a checkpoint
+    /// mirror's payload is the whole shard image).
     fn broadcast_to_servers_traced(&self, msg: &Message, trace: Option<TraceContext>) {
+        let payload = msg.encode();
         for s in 0..self.config.n_servers {
             if s != self.config.idx {
-                self.send_traced(server_node(s), msg, trace);
+                self.send_payload(server_node(s), payload.clone(), trace);
             }
         }
     }
@@ -1228,10 +1259,10 @@ impl Server {
             } => self.handle_repair_blocks(from, served_from, blocks, base_height, next_height),
             Message::RepairCheckpointRequest => self.handle_repair_checkpoint_request(from),
             Message::RepairCheckpoint { snapshot } => {
-                self.handle_repair_checkpoint(from, snapshot.map(|s| *s));
+                self.handle_repair_checkpoint(from, snapshot);
             }
             Message::CheckpointMirror { snapshot } => {
-                self.handle_checkpoint_mirror(from, *snapshot);
+                self.handle_checkpoint_mirror(from, snapshot);
             }
             Message::Durable { height } => self.handle_durable(from, height),
             Message::SnapshotRead {
@@ -1879,7 +1910,7 @@ impl Server {
             .lock()
             .mirrors
             .get(&from.raw())
-            .map(|snap| snap.height);
+            .map(|held| held.snapshot.height);
         self.send(
             from,
             &Message::RepairInfo {
@@ -1987,29 +2018,35 @@ impl Server {
         if !self.repair_enabled() || from.raw() >= self.config.n_servers {
             return;
         }
-        let mut snapshot = self.state.repair.lock().mirrors.get(&from.raw()).cloned();
+        let mut snapshot = self
+            .state
+            .repair
+            .lock()
+            .mirrors
+            .get(&from.raw())
+            .map(|held| Arc::clone(&held.snapshot));
         if self.state.behavior().tamper_repair_checkpoint {
             if let Some(snap) = &mut snapshot {
-                if let Some(item) = snap.checkpoint.items.first_mut() {
+                // The forgery edits a private copy; the held image (and
+                // the reads served from it) stay genuine.
+                if let Some(item) = Arc::make_mut(snap).checkpoint.items.first_mut() {
                     if let Some(version) = item.versions.last_mut() {
                         version.1 = fides_store::types::Value::from_i64(i64::MAX);
                     }
                 }
             }
         }
-        self.send(
-            from,
-            &Message::RepairCheckpoint {
-                snapshot: snapshot.map(Box::new),
-            },
-        );
+        self.send(from, &Message::RepairCheckpoint { snapshot });
     }
 
     /// Stores (and persists) a peer's checkpoint mirror. The mirror is
     /// only provisional custody — a repairer adopting it re-verifies it
     /// against the co-signed chain — but refusing internally
-    /// inconsistent images early keeps garbage off the disk.
-    fn handle_checkpoint_mirror(&mut self, from: NodeId, snapshot: ShardSnapshot) {
+    /// inconsistent images early keeps garbage off the disk. An image
+    /// no newer than the held one is dropped before any work; an
+    /// accepted one is restored exactly once, here, and the restored
+    /// shard serves its reads.
+    fn handle_checkpoint_mirror(&mut self, from: NodeId, snapshot: Arc<ShardSnapshot>) {
         let origin = from.raw();
         if !self.config.mirror_checkpoints
             || !self.repair_enabled()
@@ -2018,24 +2055,28 @@ impl Server {
         {
             return;
         }
-        if snapshot.restore_verified().is_err() {
+        let newer = self
+            .state
+            .repair
+            .lock()
+            .mirrors
+            .get(&origin)
+            .is_none_or(|held| snapshot.height > held.snapshot.height);
+        if !newer {
             return;
         }
-        {
-            let mut repair = self.state.repair.lock();
-            let newer = repair
-                .mirrors
-                .get(&origin)
-                .is_none_or(|held| snapshot.height > held.height);
-            if !newer {
-                return;
-            }
-            repair.mirrors.insert(origin, snapshot.clone());
-        }
-        // The superseded mirror's read cache is stale now; the next
-        // snapshot read rebuilds it from the new checkpoint (reads in
-        // flight keep their Arc — exactly one co-signed root each).
-        self.state.mirror_reads.lock().remove(&origin);
+        let Some(reads) = self.restore_mirror(&snapshot) else {
+            return;
+        };
+        // One entry swap: reads in flight keep the superseded entry's
+        // Arc — exactly one co-signed root each.
+        self.state.repair.lock().mirrors.insert(
+            origin,
+            MirrorEntry {
+                snapshot: Arc::clone(&snapshot),
+                reads: Some(reads),
+            },
+        );
         let mut durability = self.state.durability.lock();
         match durability.as_mut() {
             None => {}
@@ -2159,9 +2200,9 @@ impl Server {
         } else {
             // Mirror path: serve a *peer's* shard from its verified
             // checkpoint mirror. The whole response derives from one
-            // cached `Arc<MirrorReadState>` — a mirror superseded
-            // mid-read cannot produce a torn (state, root) mix.
-            let Some(mirror) = self.mirror_read_state(shard_idx) else {
+            // `Arc<MirrorReadState>` — a mirror superseded mid-read
+            // cannot produce a torn (state, root) mix.
+            let Some((mirror, (root_height, header))) = self.mirror_read_state(shard_idx) else {
                 self.refuse_read(from, req, ReadRefusal::NoSnapshot);
                 return;
             };
@@ -2175,9 +2216,7 @@ impl Server {
                 );
                 return;
             }
-            if at_height.is_some_and(|h| mirror.root_height > h || h > mirror.covered)
-                && !ignore_bounds
-            {
+            if at_height.is_some_and(|h| root_height > h || h > mirror.covered) && !ignore_bounds {
                 self.refuse_read(
                     from,
                     req,
@@ -2188,12 +2227,7 @@ impl Server {
                 return;
             }
             let proof = mirror.shard.prove_read(&keys);
-            (
-                mirror.root_height,
-                mirror.covered,
-                mirror.header.clone(),
-                proof,
-            )
+            (root_height, mirror.covered, header, proof)
         };
 
         // Byzantine switches: forge values/absences inside the response
@@ -2234,61 +2268,75 @@ impl Server {
         );
     }
 
-    /// The cached read-serving state for `origin`'s mirror, built (and
-    /// cross-checked against the co-signed chain) on first use per
-    /// checkpoint.
-    fn mirror_read_state(&self, origin: u32) -> Option<Arc<MirrorReadState>> {
-        let snapshot = self.state.repair.lock().mirrors.get(&origin).cloned()?;
-        {
-            let cache = self.state.mirror_reads.lock();
-            if let Some(state) = cache.get(&origin) {
-                if state.covered == snapshot.height {
-                    return Some(Arc::clone(state));
-                }
-            }
-        }
-        // Build outside the cache lock (restore is expensive).
+    /// Restores a mirror image (counted in `repair.mirror_restores`)
+    /// into its read-serving state; `None` when the image does not
+    /// reproduce its recorded root.
+    fn restore_mirror(&self, snapshot: &ShardSnapshot) -> Option<Arc<MirrorReadState>> {
+        self.state.telemetry.mirror_restores.inc();
         let shard = snapshot.restore_verified().ok()?;
-        // Anchor: the newest commit block below the checkpoint height
-        // carrying the origin's root. The restored mirror must match it
-        // — a forged-but-internally-consistent mirror is refused here
-        // rather than served.
-        let (root_height, header) = {
-            let ledger = self.state.ledger.lock();
-            let base = ledger.log.base_height();
-            let mut found = None;
-            let mut h = snapshot.height;
-            while h > base {
-                h -= 1;
-                let block = ledger.log.get(h)?;
-                if block.decision == Decision::Commit && block.root_of(origin).is_some() {
-                    found = Some(Box::new(block.header()));
-                    break;
+        Some(Arc::new(MirrorReadState {
+            covered: snapshot.height,
+            shard,
+            anchor: std::sync::OnceLock::new(),
+        }))
+    }
+
+    /// The read-serving state for `origin`'s mirror plus its co-signed
+    /// anchor. Never touches the image: only a mirror reloaded at
+    /// restart is restored here, on its first read.
+    fn mirror_read_state(&self, origin: u32) -> Option<(Arc<MirrorReadState>, MirrorAnchor)> {
+        let state = {
+            let mut repair = self.state.repair.lock();
+            let held = repair.mirrors.get_mut(&origin)?;
+            match &held.reads {
+                Some(state) => Arc::clone(state),
+                None => {
+                    let Some(state) = self.restore_mirror(&held.snapshot) else {
+                        // Corrupt on disk: neither readable nor worth
+                        // handing back to its origin.
+                        repair.mirrors.remove(&origin);
+                        return None;
+                    };
+                    held.reads = Some(Arc::clone(&state));
+                    state
                 }
-            }
-            match found {
-                Some(header) => (header.height + 1, Some(*header)),
-                None if base == 0 => (0, None),
-                // The anchoring history is pruned here: cannot serve.
-                None => return None,
             }
         };
-        if let Some(header) = &header {
-            if header.root_of(origin) != Some(shard.root()) {
-                return None;
+        let anchor = match state.anchor.get() {
+            Some(anchor) => anchor.clone(),
+            None => {
+                let anchor = self.mirror_anchor(origin, state.covered)?;
+                // The restored mirror must match its anchor — a forged
+                // but internally consistent mirror is refused here
+                // rather than served.
+                if let Some(header) = &anchor.1 {
+                    if header.root_of(origin) != Some(state.shard.root()) {
+                        return None;
+                    }
+                }
+                state.anchor.get_or_init(|| anchor).clone()
+            }
+        };
+        Some((state, anchor))
+    }
+
+    /// The co-signed root anchoring `origin`'s mirror at height
+    /// `covered`: the newest commit block below it carrying the
+    /// origin's root, as `(applied root height, header)`, or genesis.
+    /// `None` while that block has not been applied here yet, or when
+    /// its history is pruned here.
+    fn mirror_anchor(&self, origin: u32, covered: u64) -> Option<MirrorAnchor> {
+        let ledger = self.state.ledger.lock();
+        let base = ledger.log.base_height();
+        let mut h = covered;
+        while h > base {
+            h -= 1;
+            let block = ledger.log.get(h)?;
+            if block.decision == Decision::Commit && block.root_of(origin).is_some() {
+                return Some((h + 1, Some(block.header())));
             }
         }
-        let state = Arc::new(MirrorReadState {
-            covered: snapshot.height,
-            root_height,
-            header,
-            shard,
-        });
-        self.state
-            .mirror_reads
-            .lock()
-            .insert(origin, Arc::clone(&state));
-        Some(state)
+        (base == 0).then_some((0, None))
     }
 
     /// Serves recent co-signed headers (the pull half of the root
@@ -2375,6 +2423,7 @@ impl Server {
             base_height: tip,
             base_tip: tip_hash,
             checkpoint: None,
+            checkpoint_shard: None,
             staged: Vec::new(),
             target,
             excluded,
@@ -2456,10 +2505,6 @@ impl Server {
             return;
         }
         self.state.telemetry.repair_blocks.add(blocks.len() as u64);
-        self.state
-            .telemetry
-            .repair_bytes
-            .add(blocks.iter().map(|b| b.encode().len() as u64).sum());
         task.staged.extend(blocks);
         if task.base_height + task.staged.len() as u64 >= task.target {
             self.finalize_repair();
@@ -2470,8 +2515,9 @@ impl Server {
 
     /// Requesting side of checkpoint transfer: verify the mirrored
     /// image internally, then restage the fetch from its height — the
-    /// chain anchoring at install refutes a forged `tip_hash`.
-    fn handle_repair_checkpoint(&mut self, from: NodeId, snapshot: Option<ShardSnapshot>) {
+    /// chain anchoring at install refutes a forged `tip_hash`. The
+    /// shard the check restores is kept as the install's replay base.
+    fn handle_repair_checkpoint(&mut self, from: NodeId, snapshot: Option<Arc<ShardSnapshot>>) {
         let Some(task) = &mut self.repair_task else {
             return;
         };
@@ -2484,12 +2530,12 @@ impl Server {
             self.retarget_repair(true);
             return;
         };
-        if snapshot.restore_verified().is_err() {
+        let Ok(shard) = snapshot.restore_verified() else {
             let peer = task.peer;
             self.record_repair_evidence(peer, RepairFault::BadCheckpoint);
             self.retarget_repair(true);
             return;
-        }
+        };
         if snapshot.height <= task.base_height {
             // Older than what we already hold: useless here.
             self.retarget_repair(true);
@@ -2498,11 +2544,8 @@ impl Server {
         task.target = task.target.max(snapshot.height);
         task.base_height = snapshot.height;
         task.base_tip = snapshot.tip_hash;
-        self.state
-            .telemetry
-            .repair_bytes
-            .add(snapshot.encode().len() as u64);
         task.checkpoint = Some(snapshot);
+        task.checkpoint_shard = Some(shard);
         task.staged.clear();
         if task.base_height >= task.target {
             self.finalize_repair();
@@ -2514,19 +2557,17 @@ impl Server {
     /// Verifies the complete staged transfer and installs it, or
     /// records evidence against the serving peer and retries elsewhere.
     fn finalize_repair(&mut self) {
-        let Some(task) = self.repair_task.take() else {
+        let Some(mut task) = self.repair_task.take() else {
             return;
         };
-        let (base_shard, base_last_committed) = match &task.checkpoint {
-            Some(snap) => (
-                snap.restore_verified().expect("verified on receipt"),
-                snap.last_committed,
-            ),
-            None => {
-                let stage = self.state.shard.lock();
-                (stage.shard.clone(), stage.last_committed)
-            }
-        };
+        let (base_shard, base_last_committed) =
+            match (&task.checkpoint, task.checkpoint_shard.take()) {
+                (Some(snap), Some(shard)) => (shard, snap.last_committed),
+                _ => {
+                    let stage = self.state.shard.lock();
+                    (stage.shard.clone(), stage.last_committed)
+                }
+            };
         match verify_transfer(
             self.config.idx,
             &self.partitioner,
@@ -2667,7 +2708,7 @@ impl Server {
                 }
                 Some(Durability::Pipelined { pipeline, .. }) => {
                     if let Some(snap) = &task.checkpoint {
-                        pipeline.reset_to(snap.clone());
+                        pipeline.reset_to(Arc::clone(snap));
                     }
                     for block in &task.staged {
                         pipeline.submit_block(block);
@@ -2775,6 +2816,7 @@ impl Server {
             base_height: tip,
             base_tip: tip_hash,
             checkpoint: None,
+            checkpoint_shard: None,
             staged: Vec::new(),
             target,
             excluded,
@@ -3025,17 +3067,19 @@ impl Server {
             && snapshot_interval > 0
             && applied.is_multiple_of(snapshot_interval)
         {
-            let snapshot = {
+            // One capture, shared by the mirror broadcast and the local
+            // save.
+            let snapshot = Arc::new({
                 let stage = self.state.shard.lock();
                 ShardSnapshot::capture(&stage.shard, applied, tip_hash, stage.last_committed)
-            };
+            });
             // Mirror the checkpoint to peers before pruning can bite:
             // once every server prunes its WAL below this height, the
             // mirrors are what keep *this* shard recoverable should our
             // disk die with the history (checkpoint state transfer).
             if self.config.mirror_checkpoints && self.repair_enabled() {
                 self.broadcast_to_servers(&Message::CheckpointMirror {
-                    snapshot: Box::new(snapshot.clone()),
+                    snapshot: Arc::clone(&snapshot),
                 });
             }
             let mut durability = self.state.durability.lock();
@@ -3828,7 +3872,7 @@ impl Server {
                 }
                 Message::RepairCheckpointRequest => self.handle_repair_checkpoint_request(from),
                 Message::CheckpointMirror { snapshot } => {
-                    self.handle_checkpoint_mirror(from, *snapshot);
+                    self.handle_checkpoint_mirror(from, snapshot);
                 }
                 Message::Durable { height } => self.handle_durable(from, height),
                 // Snapshot reads are served mid-round too: the read

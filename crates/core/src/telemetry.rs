@@ -89,8 +89,12 @@ pub struct ServerTelemetry {
     pub repair_retargets: Arc<Counter>,
     /// Blocks fetched over the repair plane.
     pub repair_blocks: Arc<Counter>,
-    /// Bytes of encoded blocks/checkpoints fetched over repair.
+    /// Payload bytes of block/checkpoint transfers received over repair.
     pub repair_bytes: Arc<Counter>,
+    /// Peers' checkpoint mirrors restored (and root-verified) here: one
+    /// per received mirror newer than the held one, plus one per mirror
+    /// reloaded at restart, on its first read. Reads never restore.
+    pub mirror_restores: Arc<Counter>,
     /// Latency of installing a verified transfer (ns).
     pub repair_install_ns: Arc<Histogram>,
     /// End-to-end repair durations, gap detection → installed (ns).
@@ -124,6 +128,7 @@ impl ServerTelemetry {
             repair_retargets: registry.counter("repair.retargets"),
             repair_blocks: registry.counter("repair.blocks_fetched"),
             repair_bytes: registry.counter("repair.bytes"),
+            mirror_restores: registry.counter("repair.mirror_restores"),
             repair_install_ns: registry.histogram("repair.install_ns"),
             repair_duration_ns: registry.histogram("repair.duration_ns"),
             registry,

@@ -49,13 +49,14 @@ fn commit_txns(cluster: &FidesCluster, count: usize) {
         .expect("logs converge");
 }
 
-/// Per-server `(log length, tip hash, shard root)` fingerprint.
+/// Per-server `(log length, tip hash, shard root)` fingerprint. Read as
+/// one consistent pair: `settle` converges on log heights, and a shard
+/// may still be absorbing the newest block its ledger holds.
 fn fingerprint(cluster: &FidesCluster) -> Vec<(usize, Digest, Digest)> {
     (0..cluster.config().n_servers)
         .map(|s| {
-            let state = cluster.server_state(s);
-            let log = state.log();
-            (log.len(), log.tip_hash(), state.with_shard(|s| s.root()))
+            let (log, shard) = cluster.server_state(s).audit_snapshot();
+            (log.len(), log.tip_hash(), shard.root())
         })
         .collect()
 }

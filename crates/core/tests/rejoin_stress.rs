@@ -43,6 +43,28 @@ fn tips(cluster: &FidesCluster) -> Vec<(u64, fides_crypto::Digest)> {
         .collect()
 }
 
+/// Waits until every peer holds `origin`'s newest checkpoint mirror
+/// (snapshots every `interval` blocks). A shutdown can otherwise
+/// overtake the last `CheckpointMirror` after the peers pruned their
+/// WALs past the mirror they still hold; no peer could then serve the
+/// suffix above it. (Known gap: peers prune below their own snapshot,
+/// not below the oldest mirror they hold.)
+fn await_current_mirrors(cluster: &FidesCluster, origin: u32, interval: u64) {
+    let tip = cluster.server_state(origin).next_height();
+    let newest = (origin, tip - tip % interval);
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while !(0..N_SERVERS)
+        .filter(|s| *s != origin)
+        .all(|s| cluster.server_state(s).mirror_heights().contains(&newest))
+    {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "peers never mirrored {newest:?}"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
 fn assert_identical_tips(cluster: &FidesCluster) {
     let tips = tips(cluster);
     assert!(
@@ -162,6 +184,7 @@ fn disk_loss_below_pruned_floor_rejoins_via_checkpoint_transfer() {
         let committed = commit_txns(&cluster, 0, 12);
         assert!(committed >= 10, "phase-1 commits: {committed}");
         cluster.settle(Duration::from_secs(5)).expect("settles");
+        await_current_mirrors(&cluster, victim, 4);
         // Every peer holds a mirror of the victim's shard.
         for s in 0..N_SERVERS {
             if s == victim {
@@ -479,6 +502,7 @@ fn forged_checkpoint_mirror_refuted() {
         let committed = commit_txns(&cluster, 0, 12);
         assert!(committed >= 10);
         cluster.settle(Duration::from_secs(5)).expect("settles");
+        await_current_mirrors(&cluster, victim, 4);
         cluster.shutdown();
     }
     std::fs::remove_dir_all(PersistenceConfig::server_dir(dir.path(), victim))

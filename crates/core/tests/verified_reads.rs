@@ -329,6 +329,72 @@ fn mirror_reads_mid_supersede_never_tear() {
 }
 
 #[test]
+fn mirrors_restore_once_and_reads_never_restore() {
+    const INTERVAL: u64 = 4;
+    let tmp = fides_durability::testutil::TempDir::new("mirror-restores");
+    let config = ClusterConfig::new(3)
+        .items_per_shard(8)
+        .persistence(fides_core::PersistenceConfig::files(tmp.path()).snapshot_interval(INTERVAL));
+    let (holder, owner) = (2u32, 0u32);
+    let key = FidesCluster::key_name(owner, 0);
+    let restores = |cluster: &FidesCluster| {
+        cluster
+            .server_metrics(holder)
+            .counter("repair.mirror_restores")
+    };
+    let mirror_reads = |reader: &mut fides_core::ClientSession, n: usize| {
+        for _ in 0..n {
+            let verified = reader
+                .read_only_from(
+                    holder,
+                    std::slice::from_ref(&key),
+                    ReadConsistency::BoundedStaleness(64),
+                )
+                .expect("mirror-served read");
+            assert!(verified.values[0].is_some());
+        }
+    };
+
+    let cluster = FidesCluster::start(config.clone());
+    let mut writer = cluster.client(0);
+    drive_until_mirrored(&cluster, owner, &mut writer, INTERVAL);
+    let tip = cluster.settle(Duration::from_secs(5)).expect("settled") as u64;
+    // Every peer checkpoints at the same heights: wait until the holder
+    // accepted the newest mirror of both peers, so none is in flight.
+    let newest = tip - tip % INTERVAL;
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while cluster.server_state(holder).mirror_heights() != [(0, newest), (1, newest)] {
+        assert!(
+            Instant::now() < deadline,
+            "mirrors at {newest} never arrived"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let accepted = restores(&cluster);
+    assert!(accepted >= 2, "one restore per accepted mirror: {accepted}");
+
+    // Reads serve the shard restored at receipt: none restores again.
+    let served = cluster.server_metrics(holder).counter("read.serve.mirror");
+    mirror_reads(&mut cluster.client(1), 8);
+    assert_eq!(restores(&cluster), accepted);
+    assert!(cluster.server_metrics(holder).counter("read.serve.mirror") >= served + 8);
+    assert!(cluster.read_evidence().is_empty());
+    cluster.shutdown();
+
+    // A restart reloads the mirrors from disk and restores each one
+    // lazily: once, on its first read.
+    let cluster = FidesCluster::start(config);
+    assert_eq!(restores(&cluster), 0);
+    let mut reader = cluster.client(1);
+    mirror_reads(&mut reader, 1);
+    assert_eq!(restores(&cluster), 1);
+    mirror_reads(&mut reader, 8);
+    assert_eq!(restores(&cluster), 1);
+    assert!(cluster.read_evidence().is_empty());
+    cluster.shutdown();
+}
+
+#[test]
 fn repairing_server_refuses_reads_promptly() {
     let tmp = fides_durability::testutil::TempDir::new("repairing-reads");
     let mut cluster = FidesCluster::start(

@@ -116,15 +116,15 @@ enum Cmd {
     Append(Box<Block>, Option<AppendTrace>),
     /// Save this snapshot after the fsync covering its height, then
     /// prune the WAL below it (if enabled).
-    Snapshot(Box<ShardSnapshot>),
+    Snapshot(Arc<ShardSnapshot>),
     /// Persist a mirror of a peer's checkpoint (anti-entropy repair:
     /// the peer can fetch its own shard image back after losing its
     /// disk). Saved immediately — mirrors carry no local ack semantics.
-    Mirror(u32, Box<ShardSnapshot>),
+    Mirror(u32, Arc<ShardSnapshot>),
     /// Adopt a transferred checkpoint: save it, reset the log to start
     /// at its height, move the watermark there, and signal the barrier.
     /// The server guarantees no acks are pending across a reset.
-    Reset(Box<ShardSnapshot>, crossbeam_channel::Sender<()>),
+    Reset(Arc<ShardSnapshot>, crossbeam_channel::Sender<()>),
     /// Reply with the newest persisted snapshot (audit surrender).
     LoadLatest(crossbeam_channel::Sender<Option<ShardSnapshot>>),
     /// Fsync whatever is pending and signal the barrier.
@@ -252,14 +252,16 @@ impl CommitPipeline {
 
     /// Queues a snapshot; it is saved only after the fsync covering its
     /// height, so recovery can always bind it to the durable chain.
-    pub fn submit_snapshot(&self, snapshot: ShardSnapshot) {
-        self.send(Cmd::Snapshot(Box::new(snapshot)));
+    /// The image is shared, not copied: the caller may keep serving it.
+    pub fn submit_snapshot(&self, snapshot: Arc<ShardSnapshot>) {
+        self.send(Cmd::Snapshot(snapshot));
     }
 
     /// Queues a peer's checkpoint mirror for persistence (see
-    /// [`crate::SnapshotStore::save_mirror`]).
-    pub fn submit_mirror(&self, origin: u32, snapshot: ShardSnapshot) {
-        self.send(Cmd::Mirror(origin, Box::new(snapshot)));
+    /// [`crate::SnapshotStore::save_mirror`]), sharing the image the
+    /// caller holds for serving.
+    pub fn submit_mirror(&self, origin: u32, snapshot: Arc<ShardSnapshot>) {
+        self.send(Cmd::Mirror(origin, snapshot));
     }
 
     /// Adopts a transferred checkpoint (anti-entropy repair): persists
@@ -268,9 +270,9 @@ impl CommitPipeline {
     /// durable and subsequent [`CommitPipeline::submit_block`] calls
     /// must continue from `snapshot.height`. The caller must not have
     /// acks pending below the new height.
-    pub fn reset_to(&self, snapshot: ShardSnapshot) {
+    pub fn reset_to(&self, snapshot: Arc<ShardSnapshot>) {
         let (done_tx, done_rx) = crossbeam_channel::unbounded();
-        self.send(Cmd::Reset(Box::new(snapshot), done_tx));
+        self.send(Cmd::Reset(snapshot, done_tx));
         let _ = done_rx.recv();
     }
 
@@ -374,7 +376,7 @@ fn writer_loop(
     metrics: Arc<OnceLock<PipelineMetrics>>,
 ) {
     // Snapshots waiting for the fsync covering their height.
-    let mut queued_snapshots: Vec<ShardSnapshot> = Vec::new();
+    let mut queued_snapshots: Vec<Arc<ShardSnapshot>> = Vec::new();
     'outer: loop {
         // Block for the first command, then greedily drain everything
         // already queued — that whole batch shares one fsync. This is
@@ -463,7 +465,7 @@ fn writer_loop(
                         traced.push((trace, height));
                     }
                 }
-                Cmd::Snapshot(snapshot) => queued_snapshots.push(*snapshot),
+                Cmd::Snapshot(snapshot) => queued_snapshots.push(snapshot),
                 Cmd::Mirror(origin, snapshot) => {
                     snapshots
                         .save_mirror(origin, &snapshot)
@@ -766,14 +768,19 @@ mod tests {
             pipeline.flush();
             let snapshot =
                 ShardSnapshot::capture(&shard, 8, blocks[7].hash(), fides_store::Timestamp::ZERO);
-            pipeline.reset_to(snapshot);
+            pipeline.reset_to(Arc::new(snapshot));
             assert_eq!(pipeline.durable_height(), 8);
             for block in &blocks[8..] {
                 pipeline.submit_block(block);
             }
             pipeline.submit_mirror(
                 3,
-                ShardSnapshot::capture(&shard, 2, blocks[1].hash(), fides_store::Timestamp::ZERO),
+                Arc::new(ShardSnapshot::capture(
+                    &shard,
+                    2,
+                    blocks[1].hash(),
+                    fides_store::Timestamp::ZERO,
+                )),
             );
             pipeline.flush();
             assert_eq!(pipeline.durable_height(), 12);
@@ -888,7 +895,7 @@ mod tests {
         )]);
         let snapshot =
             ShardSnapshot::capture(&shard, 32, blocks[31].hash(), fides_store::Timestamp::ZERO);
-        pipeline.submit_snapshot(snapshot);
+        pipeline.submit_snapshot(Arc::new(snapshot));
         for block in &blocks[32..] {
             pipeline.submit_block(block);
         }
