@@ -68,6 +68,10 @@ pub struct Behavior {
     /// When serving a `RepairCheckpointRequest`, corrupt a value inside
     /// the mirrored checkpoint before sending it.
     pub tamper_repair_checkpoint: bool,
+    /// When mirroring a checkpoint as a delta, alter one value in it
+    /// while claiming the honest root. Holders refuse the delta (it
+    /// does not reproduce the root) and resync to the whole image.
+    pub forge_mirror_delta: bool,
 
     // ------------------------------------------------------------------
     // Verified-read-plane faults: a Byzantine server answering
@@ -116,6 +120,7 @@ impl Behavior {
             && !self.stall_after_votes
             && !self.tamper_repair_blocks
             && !self.tamper_repair_checkpoint
+            && !self.forge_mirror_delta
             && self.forge_read_values.is_empty()
             && self.forge_read_absence.is_empty()
             && !self.ignore_read_bounds

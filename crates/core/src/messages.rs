@@ -20,7 +20,7 @@ use std::sync::Arc;
 use fides_crypto::cosi;
 use fides_crypto::encoding::{Decodable, DecodeError, Decoder, Encodable, Encoder};
 use fides_crypto::scalar::Scalar;
-use fides_durability::ShardSnapshot;
+use fides_durability::{ShardSnapshot, SnapshotDelta};
 use fides_ledger::block::{Block, BlockHeader, TxnRecord};
 use fides_store::proofs::ShardReadProof;
 use fides_store::types::{Key, Timestamp, Value};
@@ -316,10 +316,14 @@ pub enum Message {
     /// checkpoints — the precondition that makes pruning safe
     /// fleet-wide).
     CheckpointMirror {
-        /// The origin's shard image (one capture, shared by the
-        /// broadcast, the local save and the receiving holder).
-        snapshot: Arc<ShardSnapshot>,
+        /// The origin's shard image, whole or as a delta against its
+        /// previous mirror.
+        image: MirrorImage,
     },
+    /// A mirror holder asks the origin for its whole current image: a
+    /// delta arrived that the holder could not apply (its base is not
+    /// the held mirror, or it fails its checks).
+    MirrorResync,
 
     // ------------------------------------------------------------------
     // Verified read plane (client ↔ any server).
@@ -516,6 +520,7 @@ impl Message {
             Message::RepairCheckpointRequest => "repair-checkpoint-request",
             Message::RepairCheckpoint { .. } => "repair-checkpoint",
             Message::CheckpointMirror { .. } => "checkpoint-mirror",
+            Message::MirrorResync => "mirror-resync",
             Message::Durable { .. } => "durable",
             Message::SnapshotRead { .. } => "snapshot-read",
             Message::SnapshotReadResp { .. } => "snapshot-read-resp",
@@ -524,6 +529,20 @@ impl Message {
             Message::RootAnnounce { .. } => "root-announce",
         }
     }
+}
+
+/// A [`Message::CheckpointMirror`] payload. After an origin's first
+/// mirror, a holder already has its previous image, so the origin ships
+/// only what changed.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum MirrorImage {
+    /// The whole image: an origin's first mirror after it starts, or
+    /// its answer to a [`Message::MirrorResync`] (one capture, shared by
+    /// the broadcast, the local save and the receiving holder).
+    Full(Arc<ShardSnapshot>),
+    /// The change since the origin's previous mirror, which applies
+    /// only to a holder holding exactly that mirror.
+    Delta(Box<SnapshotDelta>),
 }
 
 // ----------------------------------------------------------------------
@@ -801,10 +820,20 @@ impl Encodable for Message {
                 enc.put_u8(26);
                 enc.put_option(snapshot, |e, s| s.encode_into(e));
             }
-            Message::CheckpointMirror { snapshot } => {
+            Message::CheckpointMirror { image } => {
                 enc.put_u8(27);
-                snapshot.encode_into(enc);
+                match image {
+                    MirrorImage::Full(snapshot) => {
+                        enc.put_u8(0);
+                        snapshot.encode_into(enc);
+                    }
+                    MirrorImage::Delta(delta) => {
+                        enc.put_u8(1);
+                        delta.encode_into(enc);
+                    }
+                }
             }
+            Message::MirrorResync => enc.put_u8(35),
             Message::Durable { height } => {
                 enc.put_u8(28);
                 enc.put_u64(*height);
@@ -1002,7 +1031,11 @@ impl Decodable for Message {
                 snapshot: dec.take_option(|d| ShardSnapshot::decode_from(d).map(Arc::new))?,
             },
             27 => Message::CheckpointMirror {
-                snapshot: Arc::new(ShardSnapshot::decode_from(dec)?),
+                image: match dec.take_u8()? {
+                    0 => MirrorImage::Full(Arc::new(ShardSnapshot::decode_from(dec)?)),
+                    1 => MirrorImage::Delta(Box::new(SnapshotDelta::decode_from(dec)?)),
+                    t => return Err(DecodeError::InvalidTag(t)),
+                },
             },
             28 => Message::Durable {
                 height: dec.take_u64()?,
@@ -1037,6 +1070,7 @@ impl Decodable for Message {
                 handle: TxnHandle::decode_from(dec)?,
                 record: TxnRecord::decode_from(dec)?,
             },
+            35 => Message::MirrorResync,
             t => return Err(DecodeError::InvalidTag(t)),
         })
     }
@@ -1256,7 +1290,17 @@ mod tests {
             snapshot: Some(Arc::clone(&snapshot)),
         });
         roundtrip(Message::RepairCheckpoint { snapshot: None });
-        roundtrip(Message::CheckpointMirror { snapshot });
+        let mut later = (*snapshot).clone();
+        later.height = 12;
+        later.checkpoint.items[0].rts = Timestamp::new(11, 0);
+        let delta = snapshot.diff(&later).expect("later extends the mirror");
+        roundtrip(Message::CheckpointMirror {
+            image: MirrorImage::Full(snapshot),
+        });
+        roundtrip(Message::CheckpointMirror {
+            image: MirrorImage::Delta(Box::new(delta)),
+        });
+        roundtrip(Message::MirrorResync);
         roundtrip(Message::Durable { height: 3 });
     }
 

@@ -21,8 +21,8 @@ use core::fmt;
 use fides_crypto::schnorr::PublicKey;
 use fides_durability::{
     recover_ledger, CommitPipeline, DurableLog, FileSnapshotStore, MemoryBlockLog,
-    MemorySnapshotStore, PipelineConfig, RecoveryError, ShardSnapshot, SnapshotStore, SyncPolicy,
-    WalBlockLog, WalConfig,
+    MemorySnapshotStore, PipelineConfig, PruneFloor, RecoveryError, ShardSnapshot, SnapshotStore,
+    SyncPolicy, WalBlockLog, WalConfig,
 };
 use fides_ledger::block::{Block, Decision};
 use fides_ledger::log::TamperProofLog;
@@ -82,7 +82,9 @@ pub struct PersistenceConfig {
     /// recovery then replays the full log).
     pub snapshot_interval: u64,
     /// Prune WAL segments below each saved snapshot, bounding the WAL
-    /// directory's disk footprint.
+    /// directory's disk footprint — but never above the oldest peer
+    /// mirror held here ([`PruneFloor`]), whose origin may need the
+    /// blocks above it back.
     pub prune_wal: bool,
     /// With `prune_wal`, park pruned segments in `<server-dir>/archive`
     /// (file backend) instead of deleting them — the auditor can still
@@ -221,8 +223,10 @@ pub enum Durability {
         snapshots: Box<dyn SnapshotStore>,
         /// Blocks between automatic snapshots (0 = never).
         snapshot_interval: u64,
-        /// Prune the WAL below each saved snapshot.
+        /// Prune the WAL below each saved snapshot, up to `floor`.
         prune_wal: bool,
+        /// The own snapshot and held mirror heights pruning stops at.
+        floor: PruneFloor,
     },
     /// Asynchronous group commit on a dedicated writer thread.
     Pipelined {
@@ -251,6 +255,61 @@ impl Durability {
         match self {
             Durability::Pipelined { pipeline, .. } => Some(pipeline),
             Durability::Inline { .. } => None,
+        }
+    }
+
+    /// Persists a checkpoint of this server's own shard — now, or on
+    /// the pipeline after the fsync covering its height — then prunes
+    /// the WAL up to the [`PruneFloor`] when pruning is on.
+    ///
+    /// # Panics
+    ///
+    /// When the snapshot save or the prune fails (I/O).
+    pub fn save_snapshot(&mut self, snapshot: Arc<ShardSnapshot>) {
+        match self {
+            Durability::Inline {
+                log,
+                snapshots,
+                prune_wal,
+                floor,
+                ..
+            } => {
+                snapshots
+                    .save(&snapshot)
+                    .expect("shard snapshot save failed");
+                floor.own_snapshot(snapshot.height);
+                if *prune_wal {
+                    floor.prune(log.as_mut()).expect("WAL prune failed");
+                }
+            }
+            Durability::Pipelined { pipeline, .. } => pipeline.submit_snapshot(snapshot),
+        }
+    }
+
+    /// Persists `origin`'s checkpoint mirror, which holds the prune
+    /// floor at its height until a newer mirror of `origin` replaces it.
+    ///
+    /// # Panics
+    ///
+    /// When the mirror save or the prune fails (I/O).
+    pub fn save_mirror(&mut self, origin: u32, snapshot: Arc<ShardSnapshot>) {
+        match self {
+            Durability::Inline {
+                log,
+                snapshots,
+                prune_wal,
+                floor,
+                ..
+            } => {
+                snapshots
+                    .save_mirror(origin, &snapshot)
+                    .expect("mirror save failed");
+                floor.mirror(origin, snapshot.height);
+                if *prune_wal {
+                    floor.prune(log.as_mut()).expect("WAL prune failed");
+                }
+            }
+            Durability::Pipelined { pipeline, .. } => pipeline.submit_mirror(origin, snapshot),
         }
     }
 }
@@ -430,8 +489,13 @@ pub fn recover_server(
                 .map_err(|e| recovery_err(RecoveryError::Wal(e)))?;
             let log = TamperProofLog::from_suffix(snap.height, snap.tip_hash, Vec::new())
                 .expect("empty suffix always chains");
-            let durability =
-                build_durability(persistence, log_handle, snap_handle, log.next_height());
+            let durability = build_durability(
+                persistence,
+                log_handle,
+                snap_handle,
+                log.next_height(),
+                &mirrors,
+            );
             return Ok(RecoveredServer {
                 log,
                 shard,
@@ -484,6 +548,7 @@ pub fn recover_server(
         log_handle,
         snap_handle,
         recovered.log.next_height(),
+        &mirrors,
     );
 
     Ok(RecoveredServer {
@@ -497,16 +562,19 @@ pub fn recover_server(
 }
 
 /// Wraps the opened backend handles in the configured persistence
-/// engine (inline write-ahead, or the pipelined writer thread).
+/// engine (inline write-ahead, or the pipelined writer thread); the
+/// reloaded `mirrors` hold its prune floor from the start.
 fn build_durability(
     persistence: &PersistenceConfig,
     log_handle: Box<dyn DurableLog>,
     snap_handle: Box<dyn SnapshotStore>,
     durable_height: u64,
+    mirrors: &[(u32, ShardSnapshot)],
 ) -> Durability {
+    let floor = PruneFloor::new(mirrors.iter().map(|(origin, snap)| (*origin, snap.height)));
     if persistence.is_pipelined() {
         Durability::Pipelined {
-            pipeline: CommitPipeline::new(
+            pipeline: CommitPipeline::with_floor(
                 log_handle,
                 snap_handle,
                 durable_height,
@@ -514,6 +582,7 @@ fn build_durability(
                     prune_wal: persistence.prune_wal,
                     gather_window: persistence.gather_window,
                 },
+                floor,
             ),
             snapshot_interval: persistence.snapshot_interval,
         }
@@ -523,6 +592,7 @@ fn build_durability(
             snapshots: snap_handle,
             snapshot_interval: persistence.snapshot_interval,
             prune_wal: persistence.prune_wal,
+            floor,
         }
     }
 }
@@ -560,5 +630,49 @@ pub(crate) fn replay_block(
                 shard.apply_commit_store_only(txn.id, &reads, &writes);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fides_crypto::Digest;
+    use fides_ledger::block::BlockBuilder;
+
+    /// The inline engine prunes no lower than the oldest mirror it
+    /// holds (the pipelined twin is tested in `fides-durability`).
+    #[test]
+    fn inline_pruning_waits_for_the_oldest_held_mirror() {
+        let disk = MemoryBlockLog::new();
+        let mut writer = disk.handle();
+        let mut log = TamperProofLog::new();
+        for h in 0..20 {
+            let block = BlockBuilder::new(h, log.tip_hash())
+                .decision(Decision::Commit)
+                .build_unsigned();
+            writer.append_block(&block).unwrap();
+            log.append(block).unwrap();
+        }
+        let mut durability = Durability::Inline {
+            log: Box::new(writer),
+            snapshots: Box::new(MemorySnapshotStore::new()),
+            snapshot_interval: 4,
+            prune_wal: true,
+            floor: PruneFloor::default(),
+        };
+        let shard = AuthenticatedShard::new(vec![(Key::new("k"), Value::from_i64(1))]);
+        let snap = |height: u64| {
+            Arc::new(ShardSnapshot::capture(
+                &shard,
+                height,
+                Digest::ZERO,
+                Timestamp::ZERO,
+            ))
+        };
+        durability.save_mirror(3, snap(8));
+        durability.save_snapshot(snap(12));
+        assert_eq!(disk.blocks()[0].height, 8, "block 8 stays servable");
+        durability.save_mirror(3, snap(16));
+        assert_eq!(disk.blocks()[0].height, 12, "the newer mirror releases it");
     }
 }

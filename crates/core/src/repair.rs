@@ -136,17 +136,19 @@ pub struct RepairShared {
     pub mirrors: std::collections::HashMap<u32, MirrorEntry>,
 }
 
-/// One peer's checkpoint held here. The image is shared, never copied:
-/// this entry, the durability pipeline and repair responses hold the
-/// same `Arc`. Superseding a mirror replaces the whole entry, so a read
-/// in flight keeps the old serving state — exactly one co-signed root.
+/// One peer's checkpoint held here. The image is shared: this entry,
+/// the durability pipeline and repair responses hold the same `Arc`. A
+/// whole image replaces the entry; a mirror delta updates image and
+/// serving state in place through `Arc::make_mut`, which copies first
+/// whatever another holder (the WAL writer, a read in flight) still
+/// shares — so a read keeps exactly one co-signed root.
 #[derive(Debug)]
 pub struct MirrorEntry {
     /// The origin's checkpoint image.
     pub snapshot: Arc<ShardSnapshot>,
     /// The serving state built from the shard that the receipt check
     /// restored. `None` only for a mirror reloaded from disk at
-    /// restart, until its first read restores it.
+    /// restart, until its first read or delta restores it.
     pub(crate) reads: Option<Arc<MirrorReadState>>,
 }
 

@@ -63,11 +63,14 @@ use fides_net::{Endpoint, Envelope, NodeId};
 use fides_store::authenticated::{AuthenticatedShard, MhtUpdateStats};
 use fides_store::types::{ItemState, Key, Timestamp, Value};
 
-use fides_durability::ShardSnapshot;
+use fides_durability::{ShardSnapshot, SnapshotDelta};
 use fides_net::EndpointSender;
+use fides_store::DeltaError;
 
 use crate::behavior::Behavior;
-use crate::messages::{CommitProtocol, InvolvedVote, Message, PartialBlock, Refusal, TxnHandle};
+use crate::messages::{
+    CommitProtocol, InvolvedVote, Message, MirrorImage, PartialBlock, Refusal, TxnHandle,
+};
 use crate::occ;
 use crate::partition::Partitioner;
 use crate::recovery::{Durability, RecoveredServer};
@@ -183,12 +186,12 @@ pub struct ShardStage {
     pub write_watermarks: HashMap<Key, Timestamp>,
 }
 
-/// A mirror's read-serving state, built once per mirrored checkpoint
-/// from the shard its receipt check restored, and swapped
-/// **atomically** with its [`crate::repair::MirrorEntry`] (one `Arc`
-/// per checkpoint): a read served mid-supersede sees exactly one
-/// `(shard, root)` pair, never a torn mix of old and new mirror.
-#[derive(Debug)]
+/// A mirror's read-serving state, built once per origin from the shard
+/// its receipt check restored and brought forward in place by each
+/// mirror delta, together with its [`crate::repair::MirrorEntry`]'s
+/// image: a read served mid-supersede sees exactly one `(shard, root)`
+/// pair, never a torn mix of old and new mirror.
+#[derive(Clone, Debug)]
 pub(crate) struct MirrorReadState {
     /// The mirrored checkpoint's applied height (= coverage watermark).
     covered: u64,
@@ -301,7 +304,7 @@ impl ServerState {
     pub(crate) fn recovered(idx: u32, behavior: Behavior, recovered: RecoveredServer) -> Self {
         let applied_height = recovered.log.next_height();
         let repair = RepairShared {
-            // Reloaded mirrors restore lazily, on their first read.
+            // Reloaded mirrors restore lazily, on their first read or delta.
             mirrors: recovered
                 .mirrors
                 .into_iter()
@@ -615,6 +618,12 @@ pub struct Server {
     repair_task: Option<RepairTask>,
     /// Rate limiter for repair-gap gossip queries.
     last_repair_query: Option<Instant>,
+    /// The checkpoint this server last mirrored to its peers: the base
+    /// of its next mirror delta, and what it sends a holder that asks
+    /// to resync. `None` until its first mirror after starting.
+    last_mirror: Option<Arc<ShardSnapshot>>,
+    /// Origins this server asked for a whole mirror image, and when.
+    resyncs: HashMap<u32, Instant>,
     /// Coordinator-only: outcomes withheld until a quorum of servers
     /// reports the block durable (`ServerConfig::quorum_acks`).
     quorum: Option<Arc<QuorumAcks>>,
@@ -689,6 +698,10 @@ const MAX_DOOMED_DEFERRALS: u32 = 4;
 
 /// Minimum spacing between repair-gap gossip broadcasts.
 const REPAIR_QUERY_GAP: Duration = Duration::from_millis(100);
+
+/// How long a mirror holder waits for the whole image it asked an
+/// origin for ([`Message::MirrorResync`]) before asking again.
+const MIRROR_RESYNC_GAP: Duration = Duration::from_secs(1);
 
 /// One anti-entropy repair attempt: the staging area for blocks (and
 /// possibly a checkpoint) fetched from `peer`, verified as a whole
@@ -902,6 +915,8 @@ impl Server {
             inbox: std::collections::VecDeque::new(),
             repair_task: None,
             last_repair_query: None,
+            last_mirror: None,
+            resyncs: HashMap::new(),
             quorum,
             peer_last_heard,
             watchdog: WatchdogTick {
@@ -1261,9 +1276,8 @@ impl Server {
             Message::RepairCheckpoint { snapshot } => {
                 self.handle_repair_checkpoint(from, snapshot);
             }
-            Message::CheckpointMirror { snapshot } => {
-                self.handle_checkpoint_mirror(from, snapshot);
-            }
+            Message::CheckpointMirror { image } => self.handle_checkpoint_mirror(from, image),
+            Message::MirrorResync => self.handle_mirror_resync(from),
             Message::Durable { height } => self.handle_durable(from, height),
             Message::SnapshotRead {
                 req,
@@ -2042,11 +2056,11 @@ impl Server {
     /// Stores (and persists) a peer's checkpoint mirror. The mirror is
     /// only provisional custody — a repairer adopting it re-verifies it
     /// against the co-signed chain — but refusing internally
-    /// inconsistent images early keeps garbage off the disk. An image
-    /// no newer than the held one is dropped before any work; an
-    /// accepted one is restored exactly once, here, and the restored
-    /// shard serves its reads.
-    fn handle_checkpoint_mirror(&mut self, from: NodeId, snapshot: Arc<ShardSnapshot>) {
+    /// inconsistent images early keeps garbage off the disk. A whole
+    /// image is restored once, on receipt, and the restored shard
+    /// serves its reads; a delta brings image and shard forward in
+    /// place. Either way the full new image is persisted.
+    fn handle_checkpoint_mirror(&mut self, from: NodeId, image: MirrorImage) {
         let origin = from.raw();
         if !self.config.mirror_checkpoints
             || !self.repair_enabled()
@@ -2055,6 +2069,26 @@ impl Server {
         {
             return;
         }
+        let accepted = match image {
+            MirrorImage::Full(snapshot) => self.install_mirror(origin, snapshot),
+            MirrorImage::Delta(delta) => self.apply_mirror_delta(origin, &delta),
+        };
+        if let Some(snapshot) = accepted {
+            if let Some(durability) = self.state.durability.lock().as_mut() {
+                durability.save_mirror(origin, snapshot);
+            }
+        }
+    }
+
+    /// Installs a whole mirror image newer than the held one. An image
+    /// no newer is dropped before any work; an accepted one is restored
+    /// (and root-checked) exactly once, here.
+    fn install_mirror(
+        &mut self,
+        origin: u32,
+        snapshot: Arc<ShardSnapshot>,
+    ) -> Option<Arc<ShardSnapshot>> {
+        self.resyncs.remove(&origin);
         let newer = self
             .state
             .repair
@@ -2063,11 +2097,9 @@ impl Server {
             .get(&origin)
             .is_none_or(|held| snapshot.height > held.snapshot.height);
         if !newer {
-            return;
+            return None;
         }
-        let Some(reads) = self.restore_mirror(&snapshot) else {
-            return;
-        };
+        let reads = self.restore_mirror(&snapshot)?;
         // One entry swap: reads in flight keep the superseded entry's
         // Arc — exactly one co-signed root each.
         self.state.repair.lock().mirrors.insert(
@@ -2077,18 +2109,145 @@ impl Server {
                 reads: Some(reads),
             },
         );
-        let mut durability = self.state.durability.lock();
-        match durability.as_mut() {
-            None => {}
-            Some(Durability::Inline { snapshots, .. }) => {
-                snapshots
-                    .save_mirror(origin, &snapshot)
-                    .expect("mirror save failed");
+        Some(snapshot)
+    }
+
+    /// Applies `origin`'s mirror delta when the held mirror is exactly
+    /// its base. A delta with no held base, or one that fails its
+    /// checks, changes nothing: the holder asks the origin for its whole
+    /// image instead ([`Message::MirrorResync`]).
+    fn apply_mirror_delta(
+        &mut self,
+        origin: u32,
+        delta: &SnapshotDelta,
+    ) -> Option<Arc<ShardSnapshot>> {
+        let applied = {
+            let mut repair = self.state.repair.lock();
+            match repair.mirrors.get_mut(&origin) {
+                // Already past it (a whole image overtook the delta).
+                Some(held) if held.snapshot.height >= delta.height => return None,
+                Some(held) if held.snapshot.height == delta.base_height => {
+                    self.apply_delta_to(held, delta)
+                }
+                _ => Err(DeltaError::BaseMismatch),
             }
-            Some(Durability::Pipelined { pipeline, .. }) => {
-                pipeline.submit_mirror(origin, snapshot);
+        };
+        match applied {
+            Ok(snapshot) => {
+                self.state.telemetry.mirror_deltas.inc();
+                Some(snapshot)
+            }
+            Err(err) => {
+                self.state.telemetry.events.record(
+                    Level::Warn,
+                    "repair",
+                    format!(
+                        "mirror delta {}→{} from server {origin} refused: {err}",
+                        delta.base_height, delta.height
+                    ),
+                );
+                self.request_mirror_resync(origin);
+                None
             }
         }
+    }
+
+    /// Brings `held` forward by `delta`: the serving shard first — it
+    /// checks the delta's shape and claimed root before changing
+    /// anything — then the image. `Arc::make_mut` copies either only
+    /// while something else (the WAL writer) still holds it. The
+    /// co-signed anchor is looked up afresh on the next read.
+    fn apply_delta_to(
+        &self,
+        held: &mut MirrorEntry,
+        delta: &SnapshotDelta,
+    ) -> Result<Arc<ShardSnapshot>, DeltaError> {
+        let reads = match held.reads.take() {
+            Some(reads) => reads,
+            // Reloaded at restart and not read since.
+            None => self
+                .restore_mirror(&held.snapshot)
+                .ok_or(DeltaError::RootMismatch)?,
+        };
+        let state = Arc::make_mut(held.reads.insert(reads));
+        state.shard.apply_delta(&delta.checkpoint, &delta.root)?;
+        state.covered = delta.height;
+        state.anchor = std::sync::OnceLock::new();
+        if let Err(err) = Arc::make_mut(&mut held.snapshot).apply_delta(delta) {
+            // The image disagrees with the shard restored from it: serve
+            // nothing from the shard, restore the unchanged image later.
+            held.reads = None;
+            return Err(err);
+        }
+        debug_assert!(
+            held.snapshot.restore_verified().is_ok_and(|full| {
+                held.reads.as_ref().is_some_and(|reads| {
+                    full.root() == reads.shard.root()
+                        && full.checkpoint() == reads.shard.checkpoint()
+                })
+            }),
+            "an applied mirror delta matches a full restore of its image"
+        );
+        Ok(Arc::clone(&held.snapshot))
+    }
+
+    /// Asks `origin` for its whole mirror image, at most once per
+    /// [`MIRROR_RESYNC_GAP`] while the answer is outstanding.
+    fn request_mirror_resync(&mut self, origin: u32) {
+        let now = Instant::now();
+        if self
+            .resyncs
+            .get(&origin)
+            .is_some_and(|asked| now.duration_since(*asked) < MIRROR_RESYNC_GAP)
+        {
+            return;
+        }
+        self.resyncs.insert(origin, now);
+        self.state.telemetry.mirror_resyncs.inc();
+        self.send(server_node(origin), &Message::MirrorResync);
+    }
+
+    /// Origin side of a resync: the asking holder gets the whole image
+    /// last mirrored, the base of the next delta.
+    fn handle_mirror_resync(&mut self, from: NodeId) {
+        if !self.config.mirror_checkpoints
+            || !self.repair_enabled()
+            || from.raw() >= self.config.n_servers
+        {
+            return;
+        }
+        if let Some(snapshot) = &self.last_mirror {
+            let image = MirrorImage::Full(Arc::clone(snapshot));
+            self.send(from, &Message::CheckpointMirror { image });
+        }
+    }
+
+    /// Mirrors a fresh checkpoint to every peer: as a delta against the
+    /// image mirrored last when there is one, whole otherwise.
+    fn mirror_checkpoint(&mut self, snapshot: &Arc<ShardSnapshot>) {
+        let delta = self
+            .last_mirror
+            .as_ref()
+            .and_then(|prev| prev.diff(snapshot));
+        let image = match delta {
+            Some(mut delta) => {
+                if self.state.behavior().forge_mirror_delta {
+                    // Fault: one altered value under the honest root.
+                    let forged = delta
+                        .checkpoint
+                        .items
+                        .iter_mut()
+                        .find_map(|item| item.versions.last_mut());
+                    if let Some((_, value)) = forged {
+                        *value = Value::from_i64(i64::MAX);
+                    }
+                }
+                MirrorImage::Delta(Box::new(delta))
+            }
+            None => MirrorImage::Full(Arc::clone(snapshot)),
+        };
+        self.broadcast_to_servers(&Message::CheckpointMirror { image });
+        self.last_mirror = Some(Arc::clone(snapshot));
     }
 
     /// Quorum-durable acks: a cohort reported its copy of `height`
@@ -3078,31 +3237,10 @@ impl Server {
             // mirrors are what keep *this* shard recoverable should our
             // disk die with the history (checkpoint state transfer).
             if self.config.mirror_checkpoints && self.repair_enabled() {
-                self.broadcast_to_servers(&Message::CheckpointMirror {
-                    snapshot: Arc::clone(&snapshot),
-                });
+                self.mirror_checkpoint(&snapshot);
             }
-            let mut durability = self.state.durability.lock();
-            match durability.as_mut() {
-                None => {}
-                Some(Durability::Inline {
-                    log,
-                    snapshots,
-                    prune_wal,
-                    ..
-                }) => {
-                    snapshots
-                        .save(&snapshot)
-                        .expect("shard snapshot save failed");
-                    if *prune_wal {
-                        log.prune_below(applied).expect("WAL prune failed");
-                    }
-                }
-                Some(Durability::Pipelined { pipeline, .. }) => {
-                    // Saved by the writer thread after the covering
-                    // fsync (and pruned there, if enabled).
-                    pipeline.submit_snapshot(snapshot);
-                }
+            if let Some(durability) = self.state.durability.lock().as_mut() {
+                durability.save_snapshot(snapshot);
             }
         }
 
@@ -3871,9 +4009,8 @@ impl Server {
                     self.handle_repair_request(from, wanted, max);
                 }
                 Message::RepairCheckpointRequest => self.handle_repair_checkpoint_request(from),
-                Message::CheckpointMirror { snapshot } => {
-                    self.handle_checkpoint_mirror(from, snapshot);
-                }
+                Message::CheckpointMirror { image } => self.handle_checkpoint_mirror(from, image),
+                Message::MirrorResync => self.handle_mirror_resync(from),
                 Message::Durable { height } => self.handle_durable(from, height),
                 // Snapshot reads are served mid-round too: the read
                 // plane must not stall behind commit traffic.

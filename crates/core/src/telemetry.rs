@@ -92,9 +92,15 @@ pub struct ServerTelemetry {
     /// Payload bytes of block/checkpoint transfers received over repair.
     pub repair_bytes: Arc<Counter>,
     /// Peers' checkpoint mirrors restored (and root-verified) here: one
-    /// per received mirror newer than the held one, plus one per mirror
-    /// reloaded at restart, on its first read. Reads never restore.
+    /// per whole image received newer than the held one, plus one per
+    /// mirror reloaded at restart, on its first read or delta. Reads
+    /// and deltas never restore.
     pub mirror_restores: Arc<Counter>,
+    /// Mirror deltas applied in place to a held mirror.
+    pub mirror_deltas: Arc<Counter>,
+    /// Whole images requested from an origin because its delta did not
+    /// apply here (base not held, or the delta failed its checks).
+    pub mirror_resyncs: Arc<Counter>,
     /// Latency of installing a verified transfer (ns).
     pub repair_install_ns: Arc<Histogram>,
     /// End-to-end repair durations, gap detection → installed (ns).
@@ -129,6 +135,8 @@ impl ServerTelemetry {
             repair_blocks: registry.counter("repair.blocks_fetched"),
             repair_bytes: registry.counter("repair.bytes"),
             mirror_restores: registry.counter("repair.mirror_restores"),
+            mirror_deltas: registry.counter("repair.mirror_deltas"),
+            mirror_resyncs: registry.counter("repair.mirror_resyncs"),
             repair_install_ns: registry.histogram("repair.install_ns"),
             repair_duration_ns: registry.histogram("repair.duration_ns"),
             registry,

@@ -43,23 +43,22 @@ fn tips(cluster: &FidesCluster) -> Vec<(u64, fides_crypto::Digest)> {
         .collect()
 }
 
-/// Waits until every peer holds `origin`'s newest checkpoint mirror
-/// (snapshots every `interval` blocks). A shutdown can otherwise
-/// overtake the last `CheckpointMirror` after the peers pruned their
-/// WALs past the mirror they still hold; no peer could then serve the
-/// suffix above it. (Known gap: peers prune below their own snapshot,
-/// not below the oldest mirror they hold.)
-fn await_current_mirrors(cluster: &FidesCluster, origin: u32, interval: u64) {
-    let tip = cluster.server_state(origin).next_height();
-    let newest = (origin, tip - tip % interval);
+/// Waits until every peer holds a checkpoint mirror of `origin`'s shard
+/// at `min_height` or above. A shutdown may still overtake `origin`'s
+/// newest mirror: the peers' prune floor keeps the blocks above
+/// whichever mirror they hold servable.
+fn await_mirrors(cluster: &FidesCluster, origin: u32, min_height: u64) {
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while !(0..N_SERVERS)
-        .filter(|s| *s != origin)
-        .all(|s| cluster.server_state(s).mirror_heights().contains(&newest))
-    {
+    while !(0..N_SERVERS).filter(|s| *s != origin).all(|s| {
+        cluster
+            .server_state(s)
+            .mirror_heights()
+            .iter()
+            .any(|(o, h)| *o == origin && *h >= min_height)
+    }) {
         assert!(
             std::time::Instant::now() < deadline,
-            "peers never mirrored {newest:?}"
+            "peers never mirrored server {origin} at {min_height}"
         );
         std::thread::sleep(Duration::from_millis(5));
     }
@@ -184,20 +183,8 @@ fn disk_loss_below_pruned_floor_rejoins_via_checkpoint_transfer() {
         let committed = commit_txns(&cluster, 0, 12);
         assert!(committed >= 10, "phase-1 commits: {committed}");
         cluster.settle(Duration::from_secs(5)).expect("settles");
-        await_current_mirrors(&cluster, victim, 4);
         // Every peer holds a mirror of the victim's shard.
-        for s in 0..N_SERVERS {
-            if s == victim {
-                continue;
-            }
-            let mirrors = cluster.server_state(s).mirror_heights();
-            assert!(
-                mirrors
-                    .iter()
-                    .any(|(origin, h)| *origin == victim && *h >= 4),
-                "server {s} should mirror the victim's checkpoint: {mirrors:?}"
-            );
-        }
+        await_mirrors(&cluster, victim, 4);
         let h = cluster.server_state(0).next_height();
         cluster.shutdown();
         h
@@ -502,7 +489,7 @@ fn forged_checkpoint_mirror_refuted() {
         let committed = commit_txns(&cluster, 0, 12);
         assert!(committed >= 10);
         cluster.settle(Duration::from_secs(5)).expect("settles");
-        await_current_mirrors(&cluster, victim, 4);
+        await_mirrors(&cluster, victim, 4);
         cluster.shutdown();
     }
     std::fs::remove_dir_all(PersistenceConfig::server_dir(dir.path(), victim))

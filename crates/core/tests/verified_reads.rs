@@ -394,6 +394,172 @@ fn mirrors_restore_once_and_reads_never_restore() {
     cluster.shutdown();
 }
 
+/// Commits RMWs on every shard until the chain passes `min_tip`, then
+/// waits until every server holds every peer's newest mirror (every
+/// server checkpoints at the same heights). Returns that height.
+fn commit_past_and_await_mirrors(
+    cluster: &FidesCluster,
+    writer: &mut fides_core::ClientSession,
+    min_tip: u64,
+    interval: u64,
+) -> u64 {
+    let n = cluster.config().n_servers;
+    let mut i = 0usize;
+    while writer.known_tip() < min_tip {
+        let keys: Vec<Key> = (0..n).map(|s| cluster.key_of(s, i % 8)).collect();
+        commit_rmw(writer, &keys, 1);
+        i += 1;
+    }
+    let tip = cluster.settle(Duration::from_secs(5)).expect("settled") as u64;
+    let newest = tip - tip % interval;
+    let deadline = Instant::now() + Duration::from_secs(10);
+    for holder in 0..n {
+        let want: Vec<(u32, u64)> = (0..n)
+            .filter(|o| *o != holder)
+            .map(|o| (o, newest))
+            .collect();
+        while cluster.server_state(holder).mirror_heights() != want {
+            assert!(
+                Instant::now() < deadline,
+                "server {holder} never mirrored {newest}"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+    newest
+}
+
+#[test]
+fn mirrors_restore_once_then_apply_deltas_byte_identical() {
+    const INTERVAL: u64 = 4;
+    let tmp = fides_durability::testutil::TempDir::new("mirror-deltas");
+    let cluster =
+        FidesCluster::start(ClusterConfig::new(3).items_per_shard(8).persistence(
+            fides_core::PersistenceConfig::files(tmp.path()).snapshot_interval(INTERVAL),
+        ));
+    let mut writer = cluster.client(0);
+    let newest = commit_past_and_await_mirrors(&cluster, &mut writer, 5 * INTERVAL, INTERVAL);
+    assert!(newest >= 4 * INTERVAL, "four snapshot intervals: {newest}");
+
+    let snapshots =
+        |s: u32| fides_core::PersistenceConfig::server_dir(tmp.path(), s).join("snapshots");
+    for holder in 0..3u32 {
+        let metrics = cluster.server_metrics(holder);
+        // The first mirror of each peer is restored; every later one
+        // arrives as a delta and never restores. (A peer that fell
+        // behind and repaired skips the checkpoints it repaired past,
+        // so expect at least one delta per peer, not one per interval.)
+        assert_eq!(
+            metrics.counter("repair.mirror_restores"),
+            2,
+            "holder {holder}"
+        );
+        assert!(
+            metrics.counter("repair.mirror_deltas") >= 2,
+            "holder {holder}: {} deltas",
+            metrics.counter("repair.mirror_deltas")
+        );
+        assert_eq!(
+            metrics.counter("repair.mirror_resyncs"),
+            0,
+            "holder {holder}"
+        );
+        // The persisted mirror is the origin's own checkpoint file. The
+        // holder saves it just after updating the entry that
+        // `mirror_heights` reads, so poll until the file has landed.
+        for origin in (0..3u32).filter(|o| *o != holder) {
+            let mirror = snapshots(holder).join(format!("mirror-{origin:010}.fsnap"));
+            let own = snapshots(origin).join(format!("snap-{newest:020}.fsnap"));
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while std::fs::read(&mirror).ok() != std::fs::read(&own).ok() {
+                assert!(
+                    Instant::now() < deadline,
+                    "holder {holder}'s mirror of {origin} differs from its snapshot at {newest}"
+                );
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            assert!(
+                own.exists(),
+                "origin {origin} saved its snapshot at {newest}"
+            );
+        }
+    }
+
+    // Delta-refreshed mirrors serve reads that verify at the newest
+    // height.
+    let mut reader = cluster.client(1);
+    let key = cluster.key_of(0, 0);
+    let verified = reader
+        .read_only_from(
+            2,
+            std::slice::from_ref(&key),
+            ReadConsistency::BoundedStaleness(64),
+        )
+        .expect("mirror-served read");
+    assert_eq!(verified.covered_height, newest);
+    assert!(verified.values[0].is_some());
+    assert!(cluster.read_evidence().is_empty());
+    let report = cluster.audit();
+    assert!(report.is_clean(), "{report}");
+    cluster.shutdown();
+}
+
+#[test]
+fn forged_mirror_delta_refused_and_resynced() {
+    const INTERVAL: u64 = 4;
+    let tmp = fides_durability::testutil::TempDir::new("forged-delta");
+    let forger = 0u32;
+    let cluster = FidesCluster::start(
+        ClusterConfig::new(3)
+            .items_per_shard(8)
+            .persistence(
+                fides_core::PersistenceConfig::files(tmp.path()).snapshot_interval(INTERVAL),
+            )
+            .behavior(
+                forger,
+                Behavior {
+                    forge_mirror_delta: true,
+                    ..Behavior::default()
+                },
+            ),
+    );
+    let mut writer = cluster.client(0);
+    let newest = commit_past_and_await_mirrors(&cluster, &mut writer, 4 * INTERVAL, INTERVAL);
+
+    let mut reader = cluster.client(1);
+    for holder in (0..3u32).filter(|h| *h != forger) {
+        // Every forged delta was refused and answered by a whole image.
+        let metrics = cluster.server_metrics(holder);
+        assert!(
+            metrics.counter("repair.mirror_resyncs") >= 1,
+            "holder {holder}"
+        );
+        assert!(
+            metrics.counter("repair.mirror_restores") >= 3,
+            "holder {holder}"
+        );
+        // The honest peer's deltas still apply.
+        assert!(
+            metrics.counter("repair.mirror_deltas") >= 1,
+            "holder {holder}"
+        );
+        // The held mirror is the honest one: its reads verify.
+        let keys: Vec<Key> = (0..8).map(|i| cluster.key_of(forger, i)).collect();
+        let verified = reader
+            .read_only_from(holder, &keys, ReadConsistency::BoundedStaleness(64))
+            .expect("mirror-served read of the forger's shard");
+        assert_eq!(verified.covered_height, newest);
+        assert!(verified.values.iter().all(Option::is_some));
+    }
+    assert!(cluster.read_evidence().is_empty());
+    let report = cluster.audit();
+    for honest in (0..3u32).filter(|s| *s != forger) {
+        assert!(report.against_server(honest).is_empty(), "{report}");
+        assert!(cluster.server_state(honest).repair_evidence().is_empty());
+    }
+    cluster.shutdown();
+}
+
 #[test]
 fn repairing_server_refuses_reads_promptly() {
     let tmp = fides_durability::testutil::TempDir::new("repairing-reads");

@@ -83,7 +83,8 @@ pub use crc32::crc32;
 pub use pipeline::{CommitPipeline, DurableAck, PipelineConfig, PipelineMetrics};
 pub use recovery::{recover_ledger, RecoveredLedger, RecoveryError};
 pub use snapshot::{
-    FileSnapshotStore, MemorySnapshotStore, ShardSnapshot, SnapshotError, SnapshotStore,
+    FileSnapshotStore, MemorySnapshotStore, PruneFloor, ShardSnapshot, SnapshotDelta,
+    SnapshotError, SnapshotStore,
 };
 pub use wal::{
     DirArchive, SegmentArchive, SegmentedWal, SyncPolicy, WalConfig, WalError, WalOpenReport,

@@ -28,7 +28,8 @@
 //!
 //! After a snapshot is saved the writer prunes WAL segments below it
 //! when pruning is enabled — the disk stays bounded while the pipeline
-//! runs.
+//! runs — but never above the oldest peer mirror it has persisted
+//! ([`PruneFloor`]).
 //!
 //! [`SyncPolicy::Pipelined`]: crate::wal::SyncPolicy::Pipelined
 
@@ -43,7 +44,7 @@ use fides_telemetry::trace::now_ns;
 use fides_telemetry::{Gauge, Histogram, Span, SpanSink, TraceContext};
 
 use crate::blocklog::DurableLog;
-use crate::snapshot::{ShardSnapshot, SnapshotStore};
+use crate::snapshot::{PruneFloor, ShardSnapshot, SnapshotStore};
 
 /// A commit acknowledgement deferred until the covering fsync.
 pub type DurableAck = Box<dyn FnOnce() + Send>;
@@ -51,9 +52,10 @@ pub type DurableAck = Box<dyn FnOnce() + Send>;
 /// Pipeline tuning.
 #[derive(Clone, Copy, Debug)]
 pub struct PipelineConfig {
-    /// Prune WAL segments below each saved snapshot (bounded disk; the
-    /// log's archive hook, when configured, still preserves history for
-    /// the auditor).
+    /// Prune WAL segments below each saved snapshot, but not below the
+    /// oldest persisted peer mirror ([`PruneFloor`]). This bounds the
+    /// disk; the log's archive hook, when configured, still preserves
+    /// history for the auditor.
     pub prune_wal: bool,
     /// How long the writer keeps gathering appends after the greedy
     /// drain before issuing the covering fsync. Zero (the default)
@@ -115,11 +117,12 @@ enum Cmd {
     /// fsync. Blocks must be submitted in height order.
     Append(Box<Block>, Option<AppendTrace>),
     /// Save this snapshot after the fsync covering its height, then
-    /// prune the WAL below it (if enabled).
+    /// prune the WAL up to the [`PruneFloor`] (if enabled).
     Snapshot(Arc<ShardSnapshot>),
     /// Persist a mirror of a peer's checkpoint (anti-entropy repair:
     /// the peer can fetch its own shard image back after losing its
-    /// disk). Saved immediately — mirrors carry no local ack semantics.
+    /// disk). Saved immediately — mirrors carry no local ack semantics
+    /// — and raises the mirror's share of the [`PruneFloor`].
     Mirror(u32, Arc<ShardSnapshot>),
     /// Adopt a transferred checkpoint: save it, reset the log to start
     /// at its height, move the watermark there, and signal the barrier.
@@ -184,12 +187,31 @@ impl std::fmt::Debug for CommitPipeline {
 
 impl CommitPipeline {
     /// Spawns the writer thread over a durable log and snapshot store
-    /// already holding `durable_height` blocks (the recovery point).
+    /// already holding `durable_height` blocks (the recovery point) and
+    /// no peer mirrors.
     pub fn new(
         log: Box<dyn DurableLog>,
         snapshots: Box<dyn SnapshotStore>,
         durable_height: u64,
         config: PipelineConfig,
+    ) -> CommitPipeline {
+        Self::with_floor(
+            log,
+            snapshots,
+            durable_height,
+            config,
+            PruneFloor::default(),
+        )
+    }
+
+    /// [`CommitPipeline::new`] over a store already holding peer
+    /// mirrors, whose heights `floor` records.
+    pub fn with_floor(
+        log: Box<dyn DurableLog>,
+        snapshots: Box<dyn SnapshotStore>,
+        durable_height: u64,
+        config: PipelineConfig,
+        floor: PruneFloor,
     ) -> CommitPipeline {
         let (tx, rx) = crossbeam_channel::unbounded();
         let state = Arc::new(DurableState {
@@ -203,7 +225,17 @@ impl CommitPipeline {
         let writer_metrics = Arc::clone(&metrics);
         let writer = std::thread::Builder::new()
             .name("fides-wal-writer".into())
-            .spawn(move || writer_loop(rx, log, snapshots, writer_state, config, writer_metrics))
+            .spawn(move || {
+                writer_loop(
+                    rx,
+                    log,
+                    snapshots,
+                    writer_state,
+                    config,
+                    floor,
+                    writer_metrics,
+                );
+            })
             .expect("spawn WAL writer thread");
         CommitPipeline {
             tx: Some(tx),
@@ -373,6 +405,7 @@ fn writer_loop(
     mut snapshots: Box<dyn SnapshotStore>,
     state: Arc<DurableState>,
     config: PipelineConfig,
+    mut floor: PruneFloor,
     metrics: Arc<OnceLock<PipelineMetrics>>,
 ) {
     // Snapshots waiting for the fsync covering their height.
@@ -470,6 +503,7 @@ fn writer_loop(
                     snapshots
                         .save_mirror(origin, &snapshot)
                         .expect("pipelined mirror save failed");
+                    floor.mirror(origin, snapshot.height);
                 }
                 Cmd::Reset(snapshot, done) => {
                     // Checkpoint adoption: persist the checkpoint first
@@ -532,24 +566,24 @@ fn writer_loop(
         state.release_acks();
 
         // Snapshots whose height the watermark now covers are safe to
-        // save; then the WAL below them is dead weight.
+        // save; then the WAL below them is dead weight — except what a
+        // peer whose mirror we hold may need back.
         let watermark = state.watermark.load(Ordering::Acquire);
-        let mut saved_up_to: Option<u64> = None;
         queued_snapshots.retain(|snapshot| {
             if snapshot.height <= watermark {
                 snapshots
                     .save(snapshot)
                     .expect("pipelined snapshot save failed");
-                saved_up_to = Some(saved_up_to.map_or(snapshot.height, |h| h.max(snapshot.height)));
+                floor.own_snapshot(snapshot.height);
                 false
             } else {
                 true
             }
         });
         if config.prune_wal {
-            if let Some(height) = saved_up_to {
-                log.prune_below(height).expect("pipelined WAL prune failed");
-            }
+            floor
+                .prune(log.as_mut())
+                .expect("pipelined WAL prune failed");
         }
         for done in barriers {
             let _ = done.send(());
@@ -859,6 +893,43 @@ mod tests {
         );
         assert_eq!(pipeline.durable_height(), 3);
         assert_eq!(disk.blocks().len(), 3);
+    }
+
+    #[test]
+    fn pruning_waits_for_the_oldest_held_mirror() {
+        let disk = MemoryBlockLog::new();
+        let pipeline = CommitPipeline::new(
+            Box::new(disk.handle()),
+            Box::new(MemorySnapshotStore::new()),
+            0,
+            PipelineConfig::default(),
+        );
+        let blocks = chain(20);
+        let shard = fides_store::AuthenticatedShard::new(vec![(
+            fides_store::Key::new("k"),
+            fides_store::Value::from_i64(1),
+        )]);
+        let snap = |height: u64| {
+            Arc::new(ShardSnapshot::capture(
+                &shard,
+                height,
+                blocks[height as usize - 1].hash(),
+                fides_store::Timestamp::ZERO,
+            ))
+        };
+        for block in &blocks {
+            pipeline.submit_block(block);
+        }
+        // Origin 3's mirror at 8 holds the floor below the own
+        // snapshot at 12: block 8 stays servable.
+        pipeline.submit_mirror(3, snap(8));
+        pipeline.submit_snapshot(snap(12));
+        pipeline.flush();
+        assert_eq!(disk.blocks()[0].height, 8);
+        // A newer mirror releases the floor to the own snapshot.
+        pipeline.submit_mirror(3, snap(16));
+        pipeline.flush();
+        assert_eq!(disk.blocks()[0].height, 12);
     }
 
     #[test]

@@ -24,6 +24,7 @@
 //! [`crate::recovery::recover_ledger`].
 
 use core::fmt;
+use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
@@ -31,10 +32,12 @@ use std::path::{Path, PathBuf};
 use fides_crypto::encoding::{Decodable, DecodeError, Decoder, Encodable, Encoder};
 use fides_crypto::Digest;
 use fides_store::authenticated::AuthenticatedShard;
-use fides_store::checkpoint::ShardCheckpoint;
+use fides_store::checkpoint::{CheckpointDelta, DeltaError, ShardCheckpoint};
 use fides_store::types::Timestamp;
 
+use crate::blocklog::DurableLog;
 use crate::crc32::crc32;
+use crate::wal::WalError;
 
 /// Magic bytes opening every snapshot file.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"FIDESNAP";
@@ -90,6 +93,143 @@ impl ShardSnapshot {
             });
         }
         Ok(shard)
+    }
+
+    /// The delta that turns this snapshot into `later`, a newer
+    /// snapshot of the same shard; `None` when `later` is not newer or
+    /// its image is not an in-place extension of this one
+    /// ([`ShardCheckpoint::diff`]).
+    pub fn diff(&self, later: &ShardSnapshot) -> Option<SnapshotDelta> {
+        if later.height <= self.height {
+            return None;
+        }
+        Some(SnapshotDelta {
+            base_height: self.height,
+            height: later.height,
+            tip_hash: later.tip_hash,
+            last_committed: later.last_committed,
+            root: later.root,
+            checkpoint: self.checkpoint.diff(&later.checkpoint)?,
+        })
+    }
+
+    /// Turns this snapshot into the one `delta` was cut towards. The
+    /// delta must have been cut against exactly this height, and its
+    /// image change is checked whole first; on error nothing changes.
+    /// The recorded root is taken from the delta, not recomputed — pair
+    /// this with [`AuthenticatedShard::apply_delta`], which checks it.
+    ///
+    /// # Errors
+    ///
+    /// [`DeltaError::BaseMismatch`] for a delta cut against another
+    /// height, or the image check's [`DeltaError`].
+    pub fn apply_delta(&mut self, delta: &SnapshotDelta) -> Result<(), DeltaError> {
+        if delta.base_height != self.height || delta.height <= self.height {
+            return Err(DeltaError::BaseMismatch);
+        }
+        self.checkpoint.apply_delta(&delta.checkpoint)?;
+        self.height = delta.height;
+        self.tip_hash = delta.tip_hash;
+        self.last_committed = delta.last_committed;
+        self.root = delta.root;
+        Ok(())
+    }
+}
+
+/// The difference between two snapshots of one shard
+/// ([`ShardSnapshot::diff`]): the newer snapshot's metadata plus the
+/// image delta from the `base_height` snapshot. Checkpoint mirroring
+/// ships these once a peer holds the origin's previous mirror.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct SnapshotDelta {
+    /// Height of the snapshot the delta applies to.
+    pub base_height: u64,
+    /// Height of the snapshot the delta produces.
+    pub height: u64,
+    /// The new snapshot's tip hash.
+    pub tip_hash: Digest,
+    /// The new snapshot's `last_committed` watermark.
+    pub last_committed: Timestamp,
+    /// The new snapshot's shard root.
+    pub root: Digest,
+    /// Changed and appended items.
+    pub checkpoint: CheckpointDelta,
+}
+
+impl Encodable for SnapshotDelta {
+    fn encode_into(&self, enc: &mut Encoder) {
+        enc.put_u64(self.base_height);
+        enc.put_u64(self.height);
+        enc.put_digest(&self.tip_hash);
+        self.last_committed.encode_into(enc);
+        enc.put_digest(&self.root);
+        self.checkpoint.encode_into(enc);
+    }
+}
+
+impl Decodable for SnapshotDelta {
+    fn decode_from(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        Ok(SnapshotDelta {
+            base_height: dec.take_u64()?,
+            height: dec.take_u64()?,
+            tip_hash: dec.take_digest()?,
+            last_committed: Timestamp::decode_from(dec)?,
+            root: dec.take_digest()?,
+            checkpoint: CheckpointDelta::decode_from(dec)?,
+        })
+    }
+}
+
+/// The height below which a server may prune its WAL: its newest own
+/// snapshot, but no higher than the oldest checkpoint mirror it holds
+/// for a peer. A peer that lost its disk fetches its mirror back and
+/// then replays the blocks above it, so those blocks must stay
+/// servable. Both durability engines prune through this.
+#[derive(Clone, Debug, Default)]
+pub struct PruneFloor {
+    own: u64,
+    mirrors: BTreeMap<u32, u64>,
+    pruned: u64,
+}
+
+impl PruneFloor {
+    /// A floor holding `mirrors` (`(origin, height)`, e.g. reloaded at
+    /// restart) and no own snapshot yet.
+    pub fn new(mirrors: impl IntoIterator<Item = (u32, u64)>) -> Self {
+        PruneFloor {
+            mirrors: mirrors.into_iter().collect(),
+            ..PruneFloor::default()
+        }
+    }
+
+    /// Records a saved own snapshot at `height`.
+    pub fn own_snapshot(&mut self, height: u64) {
+        self.own = self.own.max(height);
+    }
+
+    /// Records a held mirror of `origin` at `height`.
+    pub fn mirror(&mut self, origin: u32, height: u64) {
+        let held = self.mirrors.entry(origin).or_default();
+        *held = (*held).max(height);
+    }
+
+    /// The current floor: `min(own snapshot, every held mirror)`.
+    pub fn height(&self) -> u64 {
+        self.mirrors.values().copied().fold(self.own, u64::min)
+    }
+
+    /// Prunes `log` below the floor when it rose since the last prune.
+    ///
+    /// # Errors
+    ///
+    /// The log's prune failure.
+    pub fn prune(&mut self, log: &mut dyn DurableLog) -> Result<(), WalError> {
+        let floor = self.height();
+        if floor > self.pruned {
+            log.prune_below(floor)?;
+            self.pruned = floor;
+        }
+        Ok(())
     }
 }
 
@@ -571,6 +711,43 @@ mod tests {
         writer.save(&sample(6)).unwrap();
         drop(writer); // the "server" crashes
         assert_eq!(store.load_latest().unwrap().unwrap().height, 6);
+    }
+
+    #[test]
+    fn snapshot_delta_roundtrip_and_apply() {
+        let base = sample(4);
+        let mut s = base.checkpoint.restore();
+        s.apply_commit(
+            Timestamp::new(12, 0),
+            &[Key::new("k003")],
+            &[
+                (Key::new("k002"), Value::from_i64(78)),
+                (Key::new("new"), Value::from_i64(1)),
+            ],
+        );
+        let later = ShardSnapshot::capture(&s, 8, Digest::new([8; 32]), Timestamp::new(12, 0));
+        let delta = base.diff(&later).expect("later extends base");
+        assert_eq!(SnapshotDelta::decode(&delta.encode()).unwrap(), delta);
+        let mut applied = base.clone();
+        applied.apply_delta(&delta).unwrap();
+        assert_eq!(applied, later);
+        assert_eq!(applied.encode(), later.encode(), "byte-identical image");
+        // Only the exact base takes the delta; stale targets are refused.
+        assert_eq!(applied.apply_delta(&delta), Err(DeltaError::BaseMismatch));
+        assert!(later.diff(&base).is_none());
+    }
+
+    #[test]
+    fn prune_floor_waits_for_the_oldest_mirror() {
+        let mut floor = PruneFloor::new([(3, 8)]);
+        floor.own_snapshot(12);
+        assert_eq!(floor.height(), 8);
+        floor.mirror(1, 10);
+        assert_eq!(floor.height(), 8);
+        floor.mirror(3, 16);
+        assert_eq!(floor.height(), 10);
+        floor.mirror(1, 20);
+        assert_eq!(floor.height(), 12);
     }
 
     #[test]

@@ -36,7 +36,7 @@ use fides_crypto::encoding::Encoder;
 use fides_crypto::merkle::{hash_leaf, MerkleTree, VerificationObject};
 use fides_crypto::Digest;
 
-use crate::checkpoint::{CheckpointItem, ShardCheckpoint};
+use crate::checkpoint::{CheckpointDelta, CheckpointItem, DeltaError, ShardCheckpoint};
 use crate::multi::MultiVersionStore;
 use crate::types::{ItemState, Key, Timestamp, Value};
 
@@ -456,6 +456,86 @@ impl AuthenticatedShard {
             index,
             stats: MhtUpdateStats::default(),
         }
+    }
+
+    /// Applies a [`CheckpointDelta`] taken against the image this shard
+    /// was restored from (or last brought up to date by a delta),
+    /// leaving the shard as [`AuthenticatedShard::from_checkpoint`] of
+    /// the newer image would build it. Only the changed and appended
+    /// leaves are rehashed; the key tree is rebuilt only when keys were
+    /// appended.
+    ///
+    /// Checks everything before changing anything: the delta's shape
+    /// against this shard, then the composite root it produces against
+    /// `root`.
+    ///
+    /// # Errors
+    ///
+    /// A [`DeltaError`] ([`DeltaError::RootMismatch`] for a well-formed
+    /// delta that does not reproduce `root`); the shard is unchanged.
+    pub fn apply_delta(
+        &mut self,
+        delta: &CheckpointDelta,
+        root: &Digest,
+    ) -> Result<(), DeltaError> {
+        let base_len = self.len();
+        delta.check_with(
+            base_len,
+            |item| {
+                let (index, _) = self.index.get(&item.key)?;
+                (*index as u64 == item.index)
+                    .then(|| self.store.chain(&item.key))
+                    .flatten()
+            },
+            |key| self.index.contains_key(key),
+        )?;
+        // New leaf digests: changed latest values in place, then the
+        // appended items. An item whose latest version is untouched
+        // (an `rts` bump) keeps its leaf.
+        let mut updates: Vec<(usize, Digest)> = Vec::new();
+        let mut appended: Vec<&Key> = Vec::new();
+        let mut tree = self.tree.clone();
+        for item in &delta.items {
+            let index = item.index as usize;
+            let chain = self.store.chain(&item.key).unwrap_or_default();
+            let latest = match item.versions.last() {
+                Some((_, value)) => value,
+                None if item.keep as usize == chain.len() => continue,
+                None => &chain[item.keep as usize - 1].1,
+            };
+            let digest = leaf_digest(&item.key, latest);
+            if index < base_len {
+                updates.push((index, digest));
+            } else {
+                tree.push_leaf(digest);
+                appended.push(&item.key);
+            }
+        }
+        tree.update_leaves_parallel(&updates);
+        let key_order: Option<Vec<Key>> = (!appended.is_empty()).then(|| {
+            let mut keys: Vec<Key> = self.key_order.clone();
+            keys.extend(appended.iter().map(|k| (*k).clone()));
+            keys.sort_unstable();
+            keys
+        });
+        let key_tree = key_order.as_ref().map(|keys| key_tree_of(keys.iter()));
+        let key_root = key_tree.as_ref().unwrap_or(&self.key_tree).root();
+        if combine_roots(&tree.root(), &key_root) != *root {
+            return Err(DeltaError::RootMismatch);
+        }
+
+        self.tree = tree;
+        if let (Some(order), Some(key_tree)) = (key_order, key_tree) {
+            self.key_order = order;
+            self.key_tree = key_tree;
+        }
+        for item in &delta.items {
+            self.store
+                .splice_chain(&item.key, item.keep as usize, &item.versions, item.rts);
+            self.index
+                .insert(item.key.clone(), (item.index as usize, item.created));
+        }
+        Ok(())
     }
 
     /// Cumulative Merkle-maintenance statistics since construction (or

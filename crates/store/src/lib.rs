@@ -14,7 +14,8 @@
 //!   Merkle hash tree, producing the per-shard roots and verification
 //!   objects that the auditor uses to authenticate datastores (§4.2.2),
 //! * [`checkpoint`] — serializable shard images (leaf order + version
-//!   chains + timestamps) backing `fides-durability`'s snapshots.
+//!   chains + timestamps) backing `fides-durability`'s snapshots, and
+//!   the deltas between two images of one shard.
 
 pub mod authenticated;
 pub mod checkpoint;
@@ -25,7 +26,7 @@ pub mod single;
 pub mod types;
 
 pub use authenticated::{combine_roots, key_leaf_digest, AuthenticatedShard, MhtUpdateStats};
-pub use checkpoint::{CheckpointItem, ShardCheckpoint};
+pub use checkpoint::{CheckpointDelta, CheckpointItem, DeltaError, ItemDelta, ShardCheckpoint};
 pub use multi::MultiVersionStore;
 pub use proofs::{AbsenceProof, AbsenceSuccessor, ReadEntryProof, ReadProofError, ShardReadProof};
 pub use rwset::{ReadEntry, WriteEntry};

@@ -161,6 +161,27 @@ impl MultiVersionStore {
         self.items.insert(key, VersionChain { versions, rts });
     }
 
+    /// `key`'s committed versions, ascending (checkpoint-delta checks).
+    pub(crate) fn chain(&self, key: &Key) -> Option<&[(Timestamp, Value)]> {
+        self.items.get(key).map(|chain| chain.versions.as_slice())
+    }
+
+    /// Keeps the first `keep` versions of `key`'s chain, appends
+    /// `versions` and sets `rts` — a checkpoint delta applied in place.
+    /// The caller has checked that the result stays ascending.
+    pub(crate) fn splice_chain(
+        &mut self,
+        key: &Key,
+        keep: usize,
+        versions: &[(Timestamp, Value)],
+        rts: Timestamp,
+    ) {
+        let chain = self.items.entry(key.clone()).or_default();
+        chain.versions.truncate(keep);
+        chain.versions.extend_from_slice(versions);
+        chain.rts = rts;
+    }
+
     /// Iterates over `(key, latest state)` in key order.
     pub fn iter_latest(&self) -> impl Iterator<Item = (&Key, ItemState)> {
         self.items.iter().filter_map(|(k, chain)| {

@@ -1,11 +1,61 @@
 //! Property-based tests for the datastore substrate.
 
+use fides_crypto::encoding::{Decodable, Encodable};
 use fides_store::authenticated::{leaf_digest, AuthenticatedShard};
-use fides_store::{Key, MultiVersionStore, SingleVersionStore, Timestamp, Value};
+use fides_store::{
+    CheckpointDelta, DeltaError, ItemDelta, Key, MultiVersionStore, ShardCheckpoint,
+    SingleVersionStore, Timestamp, Value,
+};
 use proptest::prelude::*;
 
 fn key(i: u8) -> Key {
     Key::new(format!("k{i:03}"))
+}
+
+/// Plays `ops` on `shard`, one commit timestamp each: `(kind, k, v)`
+/// updates an existing key, creates a new one, bumps a key's `rts`
+/// with a read-only commit, or corrupts an old (overwritten) version.
+fn play(shard: &mut AuthenticatedShard, ops: &[(u8, u8, i64)], ts: &mut u64) {
+    for &(kind, k, v) in ops {
+        *ts += 1;
+        let stamp = Timestamp::new(*ts, 0);
+        let keys: Vec<Key> = shard.keys().cloned().collect();
+        let existing = keys[k as usize % keys.len()].clone();
+        match kind % 8 {
+            0..=3 => {
+                shard.apply_commit(stamp, &[], &[(existing, Value::from_i64(v))]);
+            }
+            4 => {
+                let created = Key::new(format!("new-{ts:05}"));
+                shard.apply_commit(stamp, &[], &[(created, Value::from_i64(v))]);
+            }
+            5 | 6 => {
+                shard.apply_commit(stamp, std::slice::from_ref(&existing), &[]);
+            }
+            _ => {
+                if shard.store().version_count(&existing) >= 2 {
+                    shard.store_mut().corrupt_version(
+                        &existing,
+                        Timestamp::ZERO,
+                        Value::from_i64(v),
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// A shard of `n` items after `ops`, checkpointed at `split` ops and at
+/// the end: `(base, later, last timestamp)`.
+fn history(n: u8, ops: &[(u8, u8, i64)], split: usize) -> (ShardCheckpoint, ShardCheckpoint, u64) {
+    let items: Vec<(Key, Value)> = (0..n).map(|i| (key(i), Value::from_i64(0))).collect();
+    let mut shard = AuthenticatedShard::new(items);
+    let mut ts = 0u64;
+    let split = split.min(ops.len());
+    play(&mut shard, &ops[..split], &mut ts);
+    let base = shard.checkpoint();
+    play(&mut shard, &ops[split..], &mut ts);
+    (base, shard.checkpoint(), ts)
 }
 
 proptest! {
@@ -163,6 +213,105 @@ proptest! {
             prop_assert!(state.wts >= entry.1, "wts regressed");
             *entry = (state.rts, state.wts);
             prop_assert!(state.rts >= state.wts, "rts >= wts invariant (writes bump both)");
+        }
+    }
+
+    /// A delta applied to its base image gives the later image byte for
+    /// byte; applied to the base's restored shard it gives the shard a
+    /// restore of the later image would: roots, version chains and
+    /// historical roots alike. Its encoding survives a round trip, and
+    /// every truncation or bit flip of it fails to decode.
+    #[test]
+    fn delta_reproduces_later_image_and_shard(
+        n in 2u8..12,
+        ops in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<i64>()), 1..40),
+        split in 0usize..40,
+        cut in any::<u16>(),
+        flip in any::<u16>(),
+    ) {
+        let (base, later, last_ts) = history(n, &ops, split);
+        let delta = base.diff(&later).expect("histories only grow");
+
+        let mut image = base.clone();
+        image.apply_delta(&delta).expect("delta applies to its base");
+        prop_assert_eq!(image.encode(), later.encode());
+
+        let want = later.restore();
+        let mut shard = base.restore();
+        shard.apply_delta(&delta, &want.root()).expect("delta reproduces the root");
+        prop_assert_eq!(shard.root(), want.root());
+        prop_assert_eq!(shard.key_root(), want.key_root());
+        prop_assert_eq!(shard.checkpoint(), later.clone());
+        for t in [0, last_ts / 2, last_ts] {
+            let stamp = Timestamp::new(t, 0);
+            prop_assert_eq!(shard.root_at_version(stamp), want.root_at_version(stamp));
+        }
+
+        let bytes = delta.encode();
+        prop_assert_eq!(CheckpointDelta::decode(&bytes).ok(), Some(delta.clone()));
+        let cut = cut as usize % bytes.len();
+        prop_assert!(CheckpointDelta::decode(&bytes[..cut]).is_err());
+        let mut flipped = bytes.clone();
+        let at = flip as usize % (bytes.len() * 8);
+        flipped[at / 8] ^= 1 << (at % 8);
+        prop_assert!(CheckpointDelta::decode(&flipped).is_err());
+    }
+
+    /// Malformed deltas — an index gap or one far out of range, a key
+    /// mismatch, `keep` past the chain, versions that do not ascend —
+    /// are refused by image and shard alike before anything changes.
+    #[test]
+    fn malformed_deltas_refused_before_any_change(
+        n in 2u8..12,
+        ops in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<i64>()), 1..30),
+        split in 0usize..30,
+        pick in any::<u8>(),
+    ) {
+        let (base, later, last_ts) = history(n, &ops, split);
+        let good = base.diff(&later).expect("histories only grow");
+        let root = later.restore().root();
+        let at = pick as usize % base.len();
+        let item = &base.items[at];
+        let other = &base.items[(at + 1) % base.len()];
+        let edit = |index: u64, key: &Key, keep: usize, versions: Vec<(Timestamp, Value)>| {
+            ItemDelta {
+                index,
+                key: key.clone(),
+                created: item.created,
+                rts: item.rts,
+                keep: keep as u64,
+                versions,
+            }
+        };
+        let fresh = vec![(Timestamp::new(last_ts + 1, 0), Value::from_i64(1))];
+        let appended = |index: u64| {
+            let mut delta = good.clone();
+            delta.items.push(edit(index, &Key::new("gap"), 0, fresh.clone()));
+            delta
+        };
+        let only = |entry: ItemDelta| CheckpointDelta { items: vec![entry] };
+        let chain = item.versions.len();
+        let cases = [
+            (appended(later.len() as u64 + 1), DeltaError::IndexGap { index: later.len() as u64 + 1 }),
+            (appended(u64::MAX), DeltaError::IndexGap { index: u64::MAX }),
+            (only(edit(at as u64, &other.key, 1, Vec::new())), DeltaError::KeyMismatch { index: at as u64 }),
+            (only(edit(at as u64, &item.key, chain + 1, Vec::new())), DeltaError::KeepPastChain { index: at as u64 }),
+            (
+                only(edit(at as u64, &item.key, chain, vec![item.versions[chain - 1].clone()])),
+                DeltaError::BadVersions { index: at as u64 },
+            ),
+            (
+                only(edit(at as u64, &item.key, 0, [fresh.clone(), fresh.clone()].concat())),
+                DeltaError::BadVersions { index: at as u64 },
+            ),
+        ];
+        for (delta, want) in cases {
+            let mut image = base.clone();
+            prop_assert_eq!(image.apply_delta(&delta), Err(want));
+            prop_assert_eq!(&image, &base);
+            let mut shard = base.restore();
+            prop_assert_eq!(shard.apply_delta(&delta, &root), Err(want));
+            prop_assert_eq!(shard.checkpoint(), base.clone());
         }
     }
 }
