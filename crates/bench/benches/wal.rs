@@ -88,7 +88,7 @@ fn bench_append(c: &mut Criterion) {
         let block_bytes = blocks[0].encode().len() as u64;
         group.throughput(Throughput::Bytes(block_bytes));
         for (label, sync) in [
-            ("fsync", SyncPolicy::Batch),
+            ("fsync", SyncPolicy::Pipelined),
             ("nofsync", SyncPolicy::NoFsync),
         ] {
             group.bench_with_input(

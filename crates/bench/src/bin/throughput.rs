@@ -105,8 +105,6 @@ fn consistency_str(c: ReadConsistency) -> String {
 enum Policy {
     /// No persistence at all (the pre-durability engine).
     None,
-    /// Inline group commit: one fsync per block on the commit path.
-    Batch,
     /// Asynchronous group commit: appends batched across rounds on a
     /// dedicated writer thread, acks after the covering fsync.
     Pipelined,
@@ -118,7 +116,6 @@ impl Policy {
     fn as_str(self) -> &'static str {
         match self {
             Policy::None => "none",
-            Policy::Batch => "batch",
             Policy::Pipelined => "pipelined",
             Policy::NoFsync => "nofsync",
         }
@@ -128,7 +125,7 @@ impl Policy {
 fn usage() -> ! {
     eprintln!(
         "usage: throughput [--servers N] [--clients N] [--duration SECS] [--batch N]\n\
-         \x20                 [--items N] [--policy none|batch|pipelined|nofsync]\n\
+         \x20                 [--items N] [--policy none|pipelined|nofsync]\n\
          \x20                 [--zipf THETA] [--snapshot-interval N] [--dir PATH]\n\
          \x20                 [--inflight D] [--kill-restart SECS] [--label NAME] [--json]\n\
          \x20                 [--read-pct P] [--consistency fresh|bounded:K|at:H]\n\
@@ -189,7 +186,6 @@ fn parse_args() -> Args {
             "--policy" => {
                 args.policy = match value(&mut it).as_str() {
                     "none" => Policy::None,
-                    "batch" => Policy::Batch,
                     "pipelined" => Policy::Pipelined,
                     "nofsync" => Policy::NoFsync,
                     _ => usage(),
@@ -391,7 +387,6 @@ fn run(args: &Args) -> RunResult {
             }
         };
         let sync = match args.policy {
-            Policy::Batch => SyncPolicy::Batch,
             Policy::Pipelined => SyncPolicy::Pipelined,
             Policy::NoFsync => SyncPolicy::NoFsync,
             Policy::None => unreachable!(),

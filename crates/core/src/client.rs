@@ -61,8 +61,6 @@ impl TimestampOracle {
 #[derive(Debug)]
 pub struct TxnCtx {
     handle: TxnHandle,
-    /// Servers already sent a `Begin` (§4.1 step 1).
-    begun: HashSet<u32>,
     /// Read set accumulated from read responses.
     reads: Vec<ReadEntry>,
     /// Keys read (to distinguish blind writes).
@@ -512,8 +510,8 @@ impl ClientSession {
         self.id
     }
 
-    /// Starts a new transaction (Figure 5 step 1 happens lazily per
-    /// server on first access).
+    /// Starts a new transaction (Figure 5 step 1 is implicit in its
+    /// first request to each server).
     pub fn begin(&mut self) -> TxnCtx {
         self.seq += 1;
         TxnCtx {
@@ -521,7 +519,6 @@ impl ClientSession {
                 client: self.id,
                 seq: self.seq,
             },
-            begun: HashSet::new(),
             reads: Vec::new(),
             read_keys: HashSet::new(),
             writes: Vec::new(),
@@ -629,64 +626,25 @@ impl ClientSession {
         }
     }
 
-    fn ensure_begun(&mut self, txn: &mut TxnCtx, server: u32) {
-        if txn.begun.insert(server) {
-            self.send_to(server, &Message::Begin { txn: txn.handle });
-        }
-    }
-
-    /// Reads one item (Figure 5 steps 2–3). The observed value and
-    /// timestamps join the read set.
+    /// Reads one item (Figure 5 steps 2–3): a one-key
+    /// [`ClientSession::read_all`]. The observed value and timestamps
+    /// join the read set.
     ///
     /// # Errors
     ///
     /// [`ClientError::NoSuchKey`] if the owning server does not store
     /// the key; timeout/disconnect errors on network failure.
     pub fn read(&mut self, txn: &mut TxnCtx, key: &Key) -> Result<Value, ClientError> {
-        let server = self.partitioner.owner(key);
-        self.ensure_begun(txn, server);
-        self.send_to(
-            server,
-            &Message::Read {
-                txn: txn.handle,
-                key: key.clone(),
-            },
-        );
-        let handle = txn.handle;
-        let want_key = key.clone();
-        let entry = self.wait_for("read response", move |_, msg| match msg {
-            Message::ReadResp {
-                txn: t,
-                key: k,
-                value,
-                rts,
-                wts,
-            } if t == handle && k == want_key => Ok(Ok(ReadEntry {
-                key: k,
-                value,
-                rts,
-                wts,
-            })),
-            Message::ReadErr { txn: t, key: k } if t == handle && k == want_key => {
-                Ok(Err(ClientError::NoSuchKey(k)))
-            }
-            other => Err(Box::new(other)),
-        })??;
-        // Lamport rule: our next timestamp must exceed what we observed.
-        self.oracle
-            .advance_to(entry.rts.counter().max(entry.wts.counter()));
-        let value = entry.value.clone();
-        txn.read_keys.insert(entry.key.clone());
-        txn.reads.push(entry);
-        Ok(value)
+        let mut values = self.read_all(txn, std::slice::from_ref(key))?;
+        Ok(values.pop().expect("one value per key"))
     }
 
-    /// Buffers a write at the owning server (Figure 5 steps 2–3). For a
-    /// blind write (key not previously read) the acknowledgement's old
-    /// value is recorded in the write set (§4.2.1).
+    /// Adds a write to the transaction's write set (Figure 5 steps 2–3)
+    /// after a round trip to the owning server. For a blind write (key
+    /// not previously read) the acknowledgement's old value is recorded
+    /// in the write set (§4.2.1).
     pub fn write(&mut self, txn: &mut TxnCtx, key: &Key, value: Value) -> Result<(), ClientError> {
         let server = self.partitioner.owner(key);
-        self.ensure_begun(txn, server);
         self.send_to(
             server,
             &Message::Write {
@@ -863,10 +821,8 @@ impl ClientSession {
     /// [`ClientError::NoSuchKey`] if any key is absent; network errors.
     pub fn read_all(&mut self, txn: &mut TxnCtx, keys: &[Key]) -> Result<Vec<Value>, ClientError> {
         use std::collections::HashMap;
-        // No explicit `Begin` round: reads need no server-side state and
-        // the server creates write buffers lazily — Figure 5 step 1 is
-        // implicit in the first operation, saving one signed message per
-        // involved server per transaction.
+        // No explicit `Begin` round: reads need no server-side state, so
+        // Figure 5 step 1 is implicit in the first operation.
         let mut per_server: HashMap<u32, Vec<Key>> = HashMap::new();
         for key in keys {
             per_server
@@ -875,7 +831,6 @@ impl ClientSession {
                 .push(key.clone());
         }
         for (server, group) in per_server {
-            txn.begun.insert(server);
             self.send_to(
                 server,
                 &Message::ReadMany {
@@ -975,7 +930,6 @@ impl ClientSession {
         }
         for (key, value) in &blind {
             let server = self.partitioner.owner(key);
-            txn.begun.insert(server);
             self.send_to(
                 server,
                 &Message::Write {

@@ -72,9 +72,7 @@ pub use client::{
 pub use fides_read::{ReadConsistency, ReadEvidence, ReadFault};
 pub use messages::{CommitProtocol, Message, ReadRefusal, TxnHandle};
 pub use partition::Partitioner;
-pub use recovery::{
-    Durability, MemoryCluster, PersistenceBackend, PersistenceConfig, ServerStartError,
-};
+pub use recovery::{MemoryCluster, PersistenceBackend, PersistenceConfig, ServerStartError};
 pub use repair::{RepairEvidence, RepairFault};
 pub use system::{ClusterConfig, FidesCluster};
 pub use telemetry::ServerTelemetry;

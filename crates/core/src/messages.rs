@@ -127,23 +127,22 @@ impl fmt::Display for Refusal {
 #[derive(Clone, Debug, PartialEq)]
 pub enum Message {
     // ------------------------------------------------------------------
-    // Transaction execution (client ↔ server), Figure 5 steps 1–3.
+    // Transaction execution (client ↔ server), Figure 5 steps 1–3. Step
+    // 1 (begin) is implicit in a transaction's first request.
     // ------------------------------------------------------------------
-    /// Step 1: client announces a transaction to an involved server.
-    Begin { txn: TxnHandle },
-    /// Step 2: read request for one item.
-    Read { txn: TxnHandle, key: Key },
-    /// Step 3: read response with the item's value and timestamps.
-    ReadResp {
+    /// Step 2: a batched read — every key this transaction needs from
+    /// one server, in one signed message — the execution layer's
+    /// counterpart of block batching (one signature amortized over the
+    /// whole per-server key set).
+    ReadMany { txn: TxnHandle, keys: Vec<Key> },
+    /// Step 3: response to [`Message::ReadMany`]: per key, the item
+    /// state or `None` for an unknown key.
+    ReadManyResp {
         txn: TxnHandle,
-        key: Key,
-        value: Value,
-        rts: Timestamp,
-        wts: Timestamp,
+        items: Vec<ReadManyItem>,
     },
-    /// The requested key is not stored on this server.
-    ReadErr { txn: TxnHandle, key: Key },
-    /// Step 2: buffered write request.
+    /// Step 2: a blind write, sent for its pre-image; the written value
+    /// stays with the client until its end-transaction request.
     Write {
         txn: TxnHandle,
         key: Key,
@@ -197,18 +196,6 @@ pub enum Message {
     // ------------------------------------------------------------------
     // TFCommit (coordinator ↔ cohorts), §4.3.1.
     // ------------------------------------------------------------------
-    /// A batched read: every key this transaction needs from one
-    /// server, in one signed message — the execution layer's
-    /// counterpart of block batching (one signature amortized over the
-    /// whole per-server key set).
-    ReadMany { txn: TxnHandle, keys: Vec<Key> },
-    /// Response to [`Message::ReadMany`]: per key, the item state or
-    /// `None` for an unknown key.
-    ReadManyResp {
-        txn: TxnHandle,
-        items: Vec<ReadManyItem>,
-    },
-
     /// Phase 1 `<GetVote, SchAnnouncement>`.
     GetVote { partial: PartialBlock },
     /// Phase 2 `<Vote, SchCommitment>`.
@@ -491,10 +478,6 @@ impl Message {
     /// A short name for diagnostics.
     pub fn kind(&self) -> &'static str {
         match self {
-            Message::Begin { .. } => "begin",
-            Message::Read { .. } => "read",
-            Message::ReadResp { .. } => "read-resp",
-            Message::ReadErr { .. } => "read-err",
             Message::Write { .. } => "write",
             Message::WriteAck { .. } => "write-ack",
             Message::EndTxn { .. } => "end-txn",
@@ -644,34 +627,6 @@ pub fn encode_outcome_payload(handles: &[TxnHandle], block_bytes: &[u8]) -> Vec<
 impl Encodable for Message {
     fn encode_into(&self, enc: &mut Encoder) {
         match self {
-            Message::Begin { txn } => {
-                enc.put_u8(0);
-                txn.encode_into(enc);
-            }
-            Message::Read { txn, key } => {
-                enc.put_u8(1);
-                txn.encode_into(enc);
-                key.encode_into(enc);
-            }
-            Message::ReadResp {
-                txn,
-                key,
-                value,
-                rts,
-                wts,
-            } => {
-                enc.put_u8(2);
-                txn.encode_into(enc);
-                key.encode_into(enc);
-                value.encode_into(enc);
-                rts.encode_into(enc);
-                wts.encode_into(enc);
-            }
-            Message::ReadErr { txn, key } => {
-                enc.put_u8(3);
-                txn.encode_into(enc);
-                key.encode_into(enc);
-            }
             Message::Write { txn, key, value } => {
                 enc.put_u8(4);
                 txn.encode_into(enc);
@@ -898,24 +853,8 @@ impl Encodable for Message {
 impl Decodable for Message {
     fn decode_from(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
         Ok(match dec.take_u8()? {
-            0 => Message::Begin {
-                txn: TxnHandle::decode_from(dec)?,
-            },
-            1 => Message::Read {
-                txn: TxnHandle::decode_from(dec)?,
-                key: Key::decode_from(dec)?,
-            },
-            2 => Message::ReadResp {
-                txn: TxnHandle::decode_from(dec)?,
-                key: Key::decode_from(dec)?,
-                value: Value::decode_from(dec)?,
-                rts: Timestamp::decode_from(dec)?,
-                wts: Timestamp::decode_from(dec)?,
-            },
-            3 => Message::ReadErr {
-                txn: TxnHandle::decode_from(dec)?,
-                key: Key::decode_from(dec)?,
-            },
+            // Tags 0–3 carried the retired per-key begin/read messages;
+            // they stay unassigned, so old peers' bytes fail to decode.
             4 => Message::Write {
                 txn: TxnHandle::decode_from(dec)?,
                 key: Key::decode_from(dec)?,
@@ -1112,21 +1051,23 @@ mod tests {
     #[test]
     fn execution_messages_roundtrip() {
         let txn = TxnHandle { client: 3, seq: 9 };
-        roundtrip(Message::Begin { txn });
-        roundtrip(Message::Read {
+        roundtrip(Message::ReadMany {
             txn,
-            key: Key::new("k"),
+            keys: vec![Key::new("k"), Key::new("absent")],
         });
-        roundtrip(Message::ReadResp {
+        roundtrip(Message::ReadManyResp {
             txn,
-            key: Key::new("k"),
-            value: Value::from_i64(7),
-            rts: Timestamp::new(1, 0),
-            wts: Timestamp::new(2, 0),
-        });
-        roundtrip(Message::ReadErr {
-            txn,
-            key: Key::new("k"),
+            items: vec![
+                (
+                    Key::new("k"),
+                    Some((
+                        Value::from_i64(7),
+                        Timestamp::new(1, 0),
+                        Timestamp::new(2, 0),
+                    )),
+                ),
+                (Key::new("absent"), None),
+            ],
         });
         roundtrip(Message::Write {
             txn,
@@ -1357,7 +1298,11 @@ mod tests {
     fn kind_names_are_distinct_for_protocol_phases() {
         let txn = TxnHandle { client: 0, seq: 0 };
         let kinds = [
-            Message::Begin { txn }.kind(),
+            Message::ReadMany {
+                txn,
+                keys: Vec::new(),
+            }
+            .kind(),
             Message::Flush.kind(),
             Message::Shutdown.kind(),
         ];

@@ -11,6 +11,11 @@
 //! replayed shard against the per-shard Merkle roots co-signed inside
 //! the blocks — a root mismatch means the disk state disagrees with
 //! the collectively signed history, and startup is refused.
+//!
+//! A server that passes recovery hands its reopened log and snapshot
+//! store to a [`CommitPipeline`], every persisted server's one
+//! durability engine: from then on all of its WAL and snapshot I/O
+//! runs on the pipeline's writer thread.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -22,7 +27,7 @@ use fides_crypto::schnorr::PublicKey;
 use fides_durability::{
     recover_ledger, CommitPipeline, DurableLog, FileSnapshotStore, MemoryBlockLog,
     MemorySnapshotStore, PipelineConfig, PruneFloor, RecoveryError, ShardSnapshot, SnapshotStore,
-    SyncPolicy, WalBlockLog, WalConfig,
+    WalBlockLog, WalConfig,
 };
 use fides_ledger::block::{Block, Decision};
 use fides_ledger::log::TamperProofLog;
@@ -72,11 +77,9 @@ impl MemoryCluster {
 pub struct PersistenceConfig {
     /// Which backend stores the WAL and snapshots.
     pub backend: PersistenceBackend,
-    /// WAL tuning (segment size, sync policy). A
-    /// [`SyncPolicy::Pipelined`] policy moves every server's WAL behind
-    /// a dedicated writer thread with asynchronous group commit (see
-    /// [`CommitPipeline`]); other policies keep the original inline
-    /// write-ahead behavior.
+    /// WAL tuning (segment size, sync policy). Every server's WAL runs
+    /// behind a dedicated writer thread with asynchronous group commit
+    /// (see [`CommitPipeline`]).
     pub wal: WalConfig,
     /// Blocks between automatic shard snapshots (0 = never snapshot —
     /// recovery then replays the full log).
@@ -103,17 +106,15 @@ pub struct PersistenceConfig {
     /// Acknowledge client outcomes only once a **quorum** of servers
     /// (majority, coordinator included) reports the block durable —
     /// closing the gap where an ack covered only the coordinator's
-    /// copy. Cohorts report with `Message::Durable` after their own
-    /// fsync (immediately under inline policies, from the WAL writer
-    /// under `SyncPolicy::Pipelined`).
+    /// copy. Cohorts report with `Message::Durable` from their WAL
+    /// writer thread once their own fsync covers the block.
     pub quorum_acks: bool,
     /// How long the pipelined WAL writer keeps gathering appends after
     /// its greedy queue drain before issuing the covering fsync (see
     /// [`fides_durability::PipelineConfig::gather_window`]). Zero — the
     /// default — fsyncs as soon as the queue runs dry. A small window
     /// lets overlapped commit rounds share one disk round-trip (the
-    /// `durability.batch_blocks` mean rises above 1). Ignored under
-    /// inline durability.
+    /// `durability.batch_blocks` mean rises above 1).
     pub gather_window: std::time::Duration,
 }
 
@@ -193,124 +194,9 @@ impl PersistenceConfig {
         self
     }
 
-    /// Whether this configuration runs the asynchronous group-commit
-    /// pipeline.
-    pub fn is_pipelined(&self) -> bool {
-        self.wal.sync == SyncPolicy::Pipelined
-    }
-
     /// The on-disk directory of server `idx` (file backend only).
     pub fn server_dir(root: &std::path::Path, idx: u32) -> PathBuf {
         root.join(format!("server-{idx:03}"))
-    }
-}
-
-/// A server's persistence engine, attached to its
-/// [`crate::server::ServerState`].
-///
-/// `Inline` is the original write-ahead shape: the server thread
-/// appends and fsyncs each block on its commit path. `Pipelined` hands
-/// both the log and the snapshot store to a [`CommitPipeline`] writer
-/// thread: appends batch across rounds behind one covering fsync and
-/// commit acknowledgements are deferred until their height is durable.
-#[derive(Debug)]
-pub enum Durability {
-    /// Synchronous write-ahead durability on the commit path.
-    Inline {
-        /// The durable block log (WAL or memory).
-        log: Box<dyn DurableLog>,
-        /// The snapshot store (files or memory).
-        snapshots: Box<dyn SnapshotStore>,
-        /// Blocks between automatic snapshots (0 = never).
-        snapshot_interval: u64,
-        /// Prune the WAL below each saved snapshot, up to `floor`.
-        prune_wal: bool,
-        /// The own snapshot and held mirror heights pruning stops at.
-        floor: PruneFloor,
-    },
-    /// Asynchronous group commit on a dedicated writer thread.
-    Pipelined {
-        /// The writer-thread engine owning log and snapshots.
-        pipeline: CommitPipeline,
-        /// Blocks between automatic snapshots (0 = never).
-        snapshot_interval: u64,
-    },
-}
-
-impl Durability {
-    /// Blocks between automatic snapshots (0 = never).
-    pub fn snapshot_interval(&self) -> u64 {
-        match self {
-            Durability::Inline {
-                snapshot_interval, ..
-            }
-            | Durability::Pipelined {
-                snapshot_interval, ..
-            } => *snapshot_interval,
-        }
-    }
-
-    /// The pipeline, when running in pipelined mode.
-    pub fn pipeline(&self) -> Option<&CommitPipeline> {
-        match self {
-            Durability::Pipelined { pipeline, .. } => Some(pipeline),
-            Durability::Inline { .. } => None,
-        }
-    }
-
-    /// Persists a checkpoint of this server's own shard — now, or on
-    /// the pipeline after the fsync covering its height — then prunes
-    /// the WAL up to the [`PruneFloor`] when pruning is on.
-    ///
-    /// # Panics
-    ///
-    /// When the snapshot save or the prune fails (I/O).
-    pub fn save_snapshot(&mut self, snapshot: Arc<ShardSnapshot>) {
-        match self {
-            Durability::Inline {
-                log,
-                snapshots,
-                prune_wal,
-                floor,
-                ..
-            } => {
-                snapshots
-                    .save(&snapshot)
-                    .expect("shard snapshot save failed");
-                floor.own_snapshot(snapshot.height);
-                if *prune_wal {
-                    floor.prune(log.as_mut()).expect("WAL prune failed");
-                }
-            }
-            Durability::Pipelined { pipeline, .. } => pipeline.submit_snapshot(snapshot),
-        }
-    }
-
-    /// Persists `origin`'s checkpoint mirror, which holds the prune
-    /// floor at its height until a newer mirror of `origin` replaces it.
-    ///
-    /// # Panics
-    ///
-    /// When the mirror save or the prune fails (I/O).
-    pub fn save_mirror(&mut self, origin: u32, snapshot: Arc<ShardSnapshot>) {
-        match self {
-            Durability::Inline {
-                log,
-                snapshots,
-                prune_wal,
-                floor,
-                ..
-            } => {
-                snapshots
-                    .save_mirror(origin, &snapshot)
-                    .expect("mirror save failed");
-                floor.mirror(origin, snapshot.height);
-                if *prune_wal {
-                    floor.prune(log.as_mut()).expect("WAL prune failed");
-                }
-            }
-            Durability::Pipelined { pipeline, .. } => pipeline.submit_mirror(origin, snapshot),
-        }
     }
 }
 
@@ -360,8 +246,8 @@ impl std::error::Error for ServerStartError {
     }
 }
 
-/// A recovered server: verified state plus the (re-opened) persistence
-/// handles to keep appending through.
+/// A recovered server: verified state plus the commit pipeline, over
+/// the re-opened persistence handles, to keep appending through.
 #[derive(Debug)]
 pub struct RecoveredServer {
     /// The re-validated log.
@@ -371,8 +257,8 @@ pub struct RecoveredServer {
     pub shard: AuthenticatedShard,
     /// Highest committed transaction timestamp in the recovered state.
     pub last_committed: Timestamp,
-    /// Handles for continued persistence.
-    pub durability: Durability,
+    /// The durability engine, owning the log and snapshot store.
+    pub pipeline: CommitPipeline,
     /// Peers' checkpoint mirrors persisted on this disk — reloaded so
     /// the server keeps serving them after its own restart (repair
     /// plane).
@@ -489,7 +375,7 @@ pub fn recover_server(
                 .map_err(|e| recovery_err(RecoveryError::Wal(e)))?;
             let log = TamperProofLog::from_suffix(snap.height, snap.tip_hash, Vec::new())
                 .expect("empty suffix always chains");
-            let durability = build_durability(
+            let pipeline = build_pipeline(
                 persistence,
                 log_handle,
                 snap_handle,
@@ -500,7 +386,7 @@ pub fn recover_server(
                 log,
                 shard,
                 last_committed: snap.last_committed,
-                durability,
+                pipeline,
                 mirrors,
                 provisional: true,
             });
@@ -543,7 +429,7 @@ pub fn recover_server(
         }
     }
 
-    let durability = build_durability(
+    let pipeline = build_pipeline(
         persistence,
         log_handle,
         snap_handle,
@@ -555,46 +441,31 @@ pub fn recover_server(
         log: recovered.log,
         shard,
         last_committed,
-        durability,
+        pipeline,
         mirrors,
         provisional: false,
     })
 }
 
-/// Wraps the opened backend handles in the configured persistence
-/// engine (inline write-ahead, or the pipelined writer thread); the
-/// reloaded `mirrors` hold its prune floor from the start.
-fn build_durability(
+/// Hands the opened backend handles to a commit pipeline; the reloaded
+/// `mirrors` hold its prune floor from the start.
+fn build_pipeline(
     persistence: &PersistenceConfig,
     log_handle: Box<dyn DurableLog>,
     snap_handle: Box<dyn SnapshotStore>,
     durable_height: u64,
     mirrors: &[(u32, ShardSnapshot)],
-) -> Durability {
-    let floor = PruneFloor::new(mirrors.iter().map(|(origin, snap)| (*origin, snap.height)));
-    if persistence.is_pipelined() {
-        Durability::Pipelined {
-            pipeline: CommitPipeline::with_floor(
-                log_handle,
-                snap_handle,
-                durable_height,
-                PipelineConfig {
-                    prune_wal: persistence.prune_wal,
-                    gather_window: persistence.gather_window,
-                },
-                floor,
-            ),
-            snapshot_interval: persistence.snapshot_interval,
-        }
-    } else {
-        Durability::Inline {
-            log: log_handle,
-            snapshots: snap_handle,
-            snapshot_interval: persistence.snapshot_interval,
+) -> CommitPipeline {
+    CommitPipeline::with_floor(
+        log_handle,
+        snap_handle,
+        durable_height,
+        PipelineConfig {
             prune_wal: persistence.prune_wal,
-            floor,
-        }
-    }
+            gather_window: persistence.gather_window,
+        },
+        PruneFloor::new(mirrors.iter().map(|(origin, snap)| (*origin, snap.height))),
+    )
 }
 
 /// Applies one committed block's effects on `server`'s shard — the
@@ -630,49 +501,5 @@ pub(crate) fn replay_block(
                 shard.apply_commit_store_only(txn.id, &reads, &writes);
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use fides_crypto::Digest;
-    use fides_ledger::block::BlockBuilder;
-
-    /// The inline engine prunes no lower than the oldest mirror it
-    /// holds (the pipelined twin is tested in `fides-durability`).
-    #[test]
-    fn inline_pruning_waits_for_the_oldest_held_mirror() {
-        let disk = MemoryBlockLog::new();
-        let mut writer = disk.handle();
-        let mut log = TamperProofLog::new();
-        for h in 0..20 {
-            let block = BlockBuilder::new(h, log.tip_hash())
-                .decision(Decision::Commit)
-                .build_unsigned();
-            writer.append_block(&block).unwrap();
-            log.append(block).unwrap();
-        }
-        let mut durability = Durability::Inline {
-            log: Box::new(writer),
-            snapshots: Box::new(MemorySnapshotStore::new()),
-            snapshot_interval: 4,
-            prune_wal: true,
-            floor: PruneFloor::default(),
-        };
-        let shard = AuthenticatedShard::new(vec![(Key::new("k"), Value::from_i64(1))]);
-        let snap = |height: u64| {
-            Arc::new(ShardSnapshot::capture(
-                &shard,
-                height,
-                Digest::ZERO,
-                Timestamp::ZERO,
-            ))
-        };
-        durability.save_mirror(3, snap(8));
-        durability.save_snapshot(snap(12));
-        assert_eq!(disk.blocks()[0].height, 8, "block 8 stays servable");
-        durability.save_mirror(3, snap(16));
-        assert_eq!(disk.blocks()[0].height, 12, "the newer mirror releases it");
     }
 }

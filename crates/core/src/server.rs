@@ -14,15 +14,15 @@
 //! path of block *h* overlaps work on its neighbours instead of
 //! serializing everything behind one state mutex:
 //!
-//! * [`ExecState`] — write buffers, CoSi witnesses, buffered
-//!   out-of-order decisions (the inbox/validation stage);
+//! * [`ExecState`] — CoSi witnesses, buffered out-of-order decisions
+//!   (the inbox/validation stage);
 //! * [`ShardStage`] — the Merkle-authenticated datastore, whose batch
 //!   leaf updates fan out over the process-wide thread pool
 //!   (`MerkleTree::update_leaves_parallel`);
 //! * [`LedgerStage`] — the tamper-proof log plus audit evidence;
-//! * the durability stage — a [`Durability`] engine which, under
-//!   `SyncPolicy::Pipelined`, is a dedicated WAL writer thread batching
-//!   appends **across rounds** behind one covering fsync.
+//! * the durability stage — a [`CommitPipeline`], whose dedicated WAL
+//!   writer thread batches appends **across rounds** behind one
+//!   covering fsync.
 //!
 //! A server therefore validates block *h+1* (exec + shard reads) while
 //! the pool is hashing *h*'s subtree updates and the writer thread is
@@ -32,21 +32,21 @@
 //!
 //! # Persistence
 //!
-//! A server may carry a [`Durability`] engine (attached at
+//! A persisted server carries a [`CommitPipeline`] (attached at
 //! construction, see [`crate::recovery`]). Every terminated block —
-//! commit *and* abort — is appended to the durable log; inline modes
-//! fsync on the commit path, the pipelined mode defers the fsync to the
-//! writer thread and **acknowledges commits to clients only after the
-//! covering fsync** (ordered acks). Every `snapshot_interval` blocks
+//! commit *and* abort — is handed to its writer thread, which appends
+//! it to the durable log; the server **acknowledges commits to clients
+//! only after the covering fsync** (ordered acks), and all WAL and
+//! snapshot I/O stays off its thread. Every `snapshot_interval` blocks
 //! the shard is checkpointed so restarts replay only a log suffix; the
-//! pipelined mode saves snapshots only once their height is durable and
-//! can prune WAL segments below them. On restart,
+//! pipeline saves snapshots only once their height is durable and can
+//! prune WAL segments below them. On restart,
 //! [`crate::recovery::recover_server`] re-validates the whole persisted
 //! chain (hash links + batched collective-signature verification) and
 //! cross-checks the replayed shard against the co-signed Merkle roots
 //! before the server is allowed to serve traffic; a corrupted or
 //! tampered disk fails startup rather than silently serving forged
-//! state. Without an engine the server keeps the original memory-only
+//! state. Without a pipeline the server keeps the original memory-only
 //! behavior.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -63,7 +63,7 @@ use fides_net::{Endpoint, Envelope, NodeId};
 use fides_store::authenticated::{AuthenticatedShard, MhtUpdateStats};
 use fides_store::types::{ItemState, Key, Timestamp, Value};
 
-use fides_durability::{ShardSnapshot, SnapshotDelta};
+use fides_durability::{CommitPipeline, ShardSnapshot, SnapshotDelta};
 use fides_net::EndpointSender;
 use fides_store::DeltaError;
 
@@ -73,7 +73,7 @@ use crate::messages::{
 };
 use crate::occ;
 use crate::partition::Partitioner;
-use crate::recovery::{Durability, RecoveredServer};
+use crate::recovery::RecoveredServer;
 use crate::repair::{verify_transfer, MirrorEntry, RepairEvidence, RepairFault, RepairShared};
 use crate::telemetry::ServerTelemetry;
 use fides_telemetry::trace::now_ns;
@@ -83,13 +83,11 @@ use fides_telemetry::{FlightRecorder, Level, Span, Stage, Stall, Stopwatch, Trac
 /// clients are uniquely identifiable using their public keys" (§3.1).
 pub type Directory = Arc<HashMap<NodeId, PublicKey>>;
 
-/// The inbox/validation stage: per-transaction buffers and per-round
-/// protocol state. Touched by the execution layer and the vote/response
-/// phases — never by the block-apply hot path's heavy work.
+/// The inbox/validation stage: per-round protocol state. Touched by
+/// the vote/response phases — never by the block-apply hot path's
+/// heavy work.
 #[derive(Debug, Default)]
 pub struct ExecState {
-    /// Buffered (unapplied) writes per in-flight transaction (§4.2.1).
-    pub write_buffers: HashMap<TxnHandle, Vec<(Key, Value)>>,
     /// CoSi witness state per block height.
     witnesses: HashMap<u64, Witness>,
     /// Root sent in the vote for each height (to detect replacement,
@@ -238,8 +236,9 @@ pub struct ServerState {
     exec: parking_lot::Mutex<ExecState>,
     shard: parking_lot::Mutex<ShardStage>,
     ledger: parking_lot::Mutex<LedgerStage>,
-    /// Persistence engine (`None` = original memory-only behavior).
-    durability: parking_lot::Mutex<Option<Durability>>,
+    /// The durability engine (`None` = original memory-only behavior,
+    /// or the engine was killed).
+    durability: parking_lot::Mutex<Option<CommitPipeline>>,
     /// Repair-plane state: lagging/repairing status, refuted-transfer
     /// evidence, and peers' checkpoint mirrors with their read-serving
     /// state.
@@ -340,7 +339,7 @@ impl ServerState {
                 log: recovered.log,
                 ..LedgerStage::default()
             }),
-            durability: parking_lot::Mutex::new(Some(recovered.durability)),
+            durability: parking_lot::Mutex::new(Some(recovered.pipeline)),
             repair: parking_lot::Mutex::new(repair),
             telemetry: ServerTelemetry::new(idx as u64),
         }
@@ -452,30 +451,22 @@ impl ServerState {
     /// surrenders to the auditor so a suffix-log audit (peers pruned
     /// their WALs) can seed its replay from verified checkpoints.
     pub fn persisted_snapshot(&self) -> Option<ShardSnapshot> {
-        let durability = self.durability.lock();
-        match durability.as_ref()? {
-            Durability::Inline { snapshots, .. } => snapshots.load_latest().ok().flatten(),
-            Durability::Pipelined { pipeline, .. } => pipeline.load_latest_snapshot(),
-        }
+        self.durability.lock().as_ref()?.load_latest_snapshot()
     }
 
     /// Height below which this server's blocks are durable — `None`
-    /// without persistence; under inline durability every applied block
-    /// is durable.
+    /// without persistence.
     pub fn durable_height(&self) -> Option<u64> {
-        let durability = self.durability.lock();
-        match durability.as_ref()? {
-            Durability::Pipelined { pipeline, .. } => Some(pipeline.durable_height()),
-            Durability::Inline { log, .. } => Some(log.block_count()),
-        }
+        self.durability
+            .lock()
+            .as_ref()
+            .map(CommitPipeline::durable_height)
     }
 
     /// Blocks until everything submitted to the durability engine is
-    /// stable (no-op without persistence or in inline mode, where the
-    /// commit path already fsyncs).
+    /// stable (no-op without persistence).
     pub fn flush_durability(&self) {
-        let durability = self.durability.lock();
-        if let Some(Durability::Pipelined { pipeline, .. }) = durability.as_ref() {
+        if let Some(pipeline) = self.durability.lock().as_ref() {
             pipeline.flush();
         }
     }
@@ -504,21 +495,21 @@ impl ServerState {
         log
     }
 
-    /// Drops the durability engine, flushing a pipelined one (its Drop
-    /// drains, fsyncs and joins the writer thread). Called by cluster
-    /// shutdown so a restart can reopen the same directories.
+    /// Drops the durability engine, flushing it (its Drop drains,
+    /// fsyncs and joins the writer thread). Called by cluster shutdown
+    /// so a restart can reopen the same directories.
     pub(crate) fn shutdown_durability(&self) {
         let _ = self.durability.lock().take();
     }
 
     /// Crash-test hook: tears the durability engine down **without**
-    /// flushing — a pipelined engine abandons its un-fsynced tail, so
-    /// the on-disk state is exactly what the last covering fsync left
-    /// (the in-process stand-in for `kill -9` mid-stream). The server
-    /// keeps running memory-only afterwards.
+    /// flushing — it abandons its un-fsynced tail, so the on-disk state
+    /// is exactly what the last covering fsync left (the in-process
+    /// stand-in for `kill -9` mid-stream). The server keeps running
+    /// memory-only afterwards.
     #[doc(hidden)]
     pub fn kill_durability(&self) {
-        if let Some(Durability::Pipelined { pipeline, .. }) = self.durability.lock().take() {
+        if let Some(pipeline) = self.durability.lock().take() {
             pipeline.kill();
         }
     }
@@ -572,6 +563,11 @@ pub struct ServerConfig {
     /// block durable (see
     /// [`crate::recovery::PersistenceConfig::quorum_acks`]).
     pub quorum_acks: bool,
+    /// Blocks between automatic shard snapshots while a durability
+    /// engine is attached (see
+    /// [`crate::recovery::PersistenceConfig::snapshot_interval`];
+    /// 0 = never).
+    pub snapshot_interval: u64,
     /// Rotate commit leadership deterministically by block height
     /// (`height % n_servers`) instead of pinning every round on
     /// [`COORDINATOR_IDX`]. TFCommit only; under rotation every server
@@ -878,7 +874,7 @@ impl Server {
         let state = Arc::new(state);
         // Attach the metric handles the WAL writer thread records into
         // (fsync latency, batch size, queue depth) before any traffic.
-        if let Some(Durability::Pipelined { pipeline, .. }) = state.durability.lock().as_ref() {
+        if let Some(pipeline) = state.durability.lock().as_ref() {
             pipeline.set_metrics(state.telemetry.pipeline_metrics());
         }
         // Under rotation every server leads some heights, so every
@@ -1224,10 +1220,8 @@ impl Server {
 
     fn dispatch(&mut self, from: NodeId, msg: Message, trace: Option<TraceContext>) {
         match msg {
-            Message::Begin { txn } => self.handle_begin(txn),
-            Message::Read { txn, key } => self.handle_read(from, txn, key),
             Message::ReadMany { txn, keys } => self.handle_read_many(from, txn, keys),
-            Message::Write { txn, key, value } => self.handle_write(from, txn, key, value),
+            Message::Write { txn, key, .. } => self.handle_write(from, txn, key),
             Message::EndTxn { handle, record } => {
                 // Rounds are driven by the main loop once a full batch
                 // is pending.
@@ -1298,10 +1292,6 @@ impl Server {
     // Execution layer (§4.2.1).
     // ------------------------------------------------------------------
 
-    fn handle_begin(&mut self, txn: TxnHandle) {
-        self.state.exec.lock().write_buffers.entry(txn).or_default();
-    }
-
     /// The batched read: one locked pass over the shard answers every
     /// key this transaction needs from this server, and the whole
     /// response costs one signature.
@@ -1325,30 +1315,9 @@ impl Server {
         self.send(from, &Message::ReadManyResp { txn, items });
     }
 
-    fn handle_read(&mut self, from: NodeId, txn: TxnHandle, key: Key) {
-        let stage = self.state.shard.lock();
-        let reply = match stage.shard.read(&key) {
-            None => Message::ReadErr { txn, key },
-            Some(item) => {
-                let value = if self.state.behavior().stale_read_keys.contains(&key) {
-                    stale_value(&stage, &key, &item)
-                } else {
-                    item.value.clone()
-                };
-                Message::ReadResp {
-                    txn,
-                    key,
-                    value,
-                    rts: item.rts,
-                    wts: item.wts,
-                }
-            }
-        };
-        drop(stage);
-        self.send(from, &reply);
-    }
-
-    fn handle_write(&mut self, from: NodeId, txn: TxnHandle, key: Key, value: Value) {
+    /// A blind write's pre-image (§4.2.1). The write itself stays
+    /// with the client until its end-transaction request.
+    fn handle_write(&mut self, from: NodeId, txn: TxnHandle, key: Key) {
         let old = self
             .state
             .shard
@@ -1356,13 +1325,6 @@ impl Server {
             .shard
             .read(&key)
             .map(|item| (item.value, item.rts, item.wts));
-        self.state
-            .exec
-            .lock()
-            .write_buffers
-            .entry(txn)
-            .or_default()
-            .push((key.clone(), value));
         self.send(from, &Message::WriteAck { txn, key, old });
     }
 
@@ -1972,11 +1934,10 @@ impl Server {
 
     /// Serving side of a block fetch. Ranges below the in-memory log's
     /// base are retried against the durability archive (pruned segments
-    /// parked by [`fides_durability::SegmentArchive`]; inline engines
-    /// only — under `SyncPolicy::Pipelined` the writer thread owns the
-    /// log, and an archive-configured server holds the full history in
-    /// memory anyway); a range gone from both is answered empty with
-    /// our floor, steering the requester toward checkpoint transfer.
+    /// parked by [`fides_durability::SegmentArchive`], read through the
+    /// writer thread that owns the log); a range gone from both is
+    /// answered empty with our floor, steering the requester toward
+    /// checkpoint transfer.
     fn handle_repair_request(&mut self, from: NodeId, wanted: u64, max: u32) {
         if !self.repair_enabled() || from.raw() >= self.config.n_servers {
             return;
@@ -1993,18 +1954,17 @@ impl Server {
         if blocks.is_empty() && wanted < base_height {
             // The in-memory log is a suffix; pruned history may still be
             // readable from the archive directory.
-            let durability = self.state.durability.lock();
-            if let Some(Durability::Inline { log, .. }) = durability.as_ref() {
-                if let Ok(Some(archived)) = log.read_archived() {
-                    if let Some(first) = archived.first() {
-                        base_height = base_height.min(first.height);
-                        let skip = wanted.saturating_sub(first.height) as usize;
-                        if skip < archived.len() {
-                            let end = skip.saturating_add(max).min(archived.len());
-                            blocks = archived[skip..end].to_vec();
-                        }
-                    }
-                }
+            let archived = self
+                .state
+                .durability
+                .lock()
+                .as_ref()
+                .and_then(CommitPipeline::read_archived)
+                .unwrap_or_default();
+            if let Some(first) = archived.first().map(|b| b.height) {
+                base_height = base_height.min(first);
+                let skip = wanted.saturating_sub(first) as usize;
+                blocks = archived.into_iter().skip(skip).take(max).collect();
             }
         }
         if self.state.behavior().tamper_repair_blocks {
@@ -2074,8 +2034,8 @@ impl Server {
             MirrorImage::Delta(delta) => self.apply_mirror_delta(origin, &delta),
         };
         if let Some(snapshot) = accepted {
-            if let Some(durability) = self.state.durability.lock().as_mut() {
-                durability.save_mirror(origin, snapshot);
+            if let Some(pipeline) = self.state.durability.lock().as_ref() {
+                pipeline.submit_mirror(origin, snapshot);
             }
         }
     }
@@ -2846,66 +2806,22 @@ impl Server {
         // cohort also reports the transferred heights durable — the
         // coordinator may still be withholding outcomes for them.
         // Under rotation the repairer is a cohort for every height it
-        // did not lead (per-height check below where the target varies).
-        let quorum_cohort =
-            self.config.quorum_acks && (self.rotation_on() || !self.is_coordinator());
+        // did not lead.
         {
-            let mut durability = self.state.durability.lock();
-            match durability.as_mut() {
-                None => {}
-                Some(Durability::Inline { log, snapshots, .. }) => {
-                    if let Some(snap) = &task.checkpoint {
-                        snapshots
-                            .save(snap)
-                            .expect("checkpoint-adoption snapshot save failed");
-                        log.reset_to(task.base_height).expect("WAL reset failed");
-                    }
-                    for block in &task.staged {
-                        log.append_block(block).expect("repair WAL append failed");
-                    }
-                    log.sync().expect("repair WAL fsync failed");
+            let durability = self.state.durability.lock();
+            if let Some(pipeline) = durability.as_ref() {
+                if let Some(snap) = &task.checkpoint {
+                    pipeline.reset_to(Arc::clone(snap));
                 }
-                Some(Durability::Pipelined { pipeline, .. }) => {
-                    if let Some(snap) = &task.checkpoint {
-                        pipeline.reset_to(Arc::clone(snap));
-                    }
-                    for block in &task.staged {
-                        pipeline.submit_block(block);
-                        if quorum_cohort && self.leader_of(block.height) != self.config.idx {
-                            let height = block.height;
-                            let sender = self.endpoint.sender();
-                            let keypair = self.keypair;
-                            let from = self.endpoint.node();
-                            let leader = server_node(self.leader_of(height));
-                            pipeline.on_durable(
-                                height,
-                                Box::new(move || {
-                                    let msg = Message::Durable { height };
-                                    sender.send(Envelope::sign(
-                                        &keypair,
-                                        from,
-                                        leader,
-                                        msg.encode(),
-                                    ));
-                                }),
-                            );
-                        }
-                    }
+                for block in &task.staged {
+                    pipeline.submit_block(block);
                 }
             }
-            let inline_durable = !matches!(durability.as_ref(), Some(Durability::Pipelined { .. }));
-            drop(durability);
-            if quorum_cohort && inline_durable {
+            if self.config.quorum_acks {
                 for block in &task.staged {
-                    if self.leader_of(block.height) == self.config.idx {
-                        continue;
+                    if self.leader_of(block.height) != self.config.idx {
+                        self.report_durable(durability.as_ref(), block.height);
                     }
-                    self.send(
-                        server_node(self.leader_of(block.height)),
-                        &Message::Durable {
-                            height: block.height,
-                        },
-                    );
                 }
             }
         }
@@ -3025,14 +2941,14 @@ impl Server {
     // ------------------------------------------------------------------
 
     /// The staged apply path. Each stage takes exactly one lock and
-    /// releases it before the next — under pipelined durability the
-    /// expensive steps (fsync, snapshot save, WAL pruning) run on the
-    /// writer thread, off this server's message loop entirely:
+    /// releases it before the next — the expensive steps (fsync,
+    /// snapshot save, WAL pruning) run on the pipeline's writer thread,
+    /// off this server's message loop entirely:
     ///
     /// 1. **ledger** — dedupe + hash-chain append;
     /// 2. **exec** — drop the round's witness state;
-    /// 3. **durability** — inline write-ahead (append + fsync on this
-    ///    thread) or a pipeline submit (fsync later, acks deferred);
+    /// 3. **durability** — a pipeline submit (fsync later, acks
+    ///    deferred);
     /// 4. **shard** — apply committed writes with pool-parallel Merkle
     ///    updates, then publish `applied_height`;
     /// 5. **checkpoint** — capture a snapshot every `snapshot_interval`
@@ -3091,54 +3007,21 @@ impl Server {
                 .set(exec.witnesses.len() as i64);
         }
 
-        // Stage 3 — durability. Inline modes keep the write-ahead
-        // invariant (block durable before the datastore moves); the
-        // pipelined mode trades that for asynchronous group commit —
-        // sound because recovery rebuilds purely from the WAL and
-        // clients are acked only after the covering fsync.
+        // Stage 3 — durability: hand the block to the writer thread.
+        // The shard may move before the block is fsynced — sound
+        // because recovery rebuilds purely from the WAL, snapshots are
+        // saved only after the covering fsync, and clients are acked
+        // only after it (ordered acks).
         {
             let durability_start = Instant::now();
-            let quorum_cohort =
-                self.config.quorum_acks && self.leader_of(height) != self.config.idx;
-            let mut report_now = quorum_cohort;
-            let mut durability = self.state.durability.lock();
-            match durability.as_mut() {
-                None => {}
-                Some(Durability::Inline { log, .. }) => {
-                    log.append_block(&block)
-                        .and_then(|()| log.sync())
-                        .expect("write-ahead log append failed");
-                }
-                Some(Durability::Pipelined { pipeline, .. }) => {
-                    pipeline.submit_block_traced(&block, trace);
-                    if quorum_cohort {
-                        // Report durability from the writer thread once
-                        // the covering fsync lands (ordered acks).
-                        report_now = false;
-                        let sender = self.endpoint.sender();
-                        let keypair = self.keypair;
-                        let from = self.endpoint.node();
-                        let leader = server_node(self.leader_of(height));
-                        pipeline.on_durable(
-                            height,
-                            Box::new(move || {
-                                let msg = Message::Durable { height };
-                                sender.send(Envelope::sign(&keypair, from, leader, msg.encode()));
-                            }),
-                        );
-                    }
-                }
+            let durability = self.state.durability.lock();
+            if let Some(pipeline) = durability.as_ref() {
+                pipeline.submit_block_traced(&block, trace);
+            }
+            if self.config.quorum_acks && self.leader_of(height) != self.config.idx {
+                self.report_durable(durability.as_ref(), height);
             }
             drop(durability);
-            if report_now {
-                // Inline durability fsynced above (and a memory-only
-                // cohort has nothing a crash could take back): report
-                // immediately.
-                self.send(
-                    server_node(self.leader_of(height)),
-                    &Message::Durable { height },
-                );
-            }
             durability_ns = durability_start.elapsed().as_nanos() as u64;
         }
 
@@ -3183,10 +3066,6 @@ impl Server {
                             *mark = txn.id;
                         }
                     }
-                    // Clean the paper's write buffer for this txn.
-                    // (Handles are client-side; buffers are
-                    // garbage-collected lazily since the block only
-                    // carries timestamps.)
                 }
                 if let Some(ts) = max_ts {
                     if ts > stage.last_committed {
@@ -3215,16 +3094,12 @@ impl Server {
         // Merkle tree, so there is no meaningful root to bind a
         // snapshot to — its recovery replays the full (unsigned) log
         // instead.
-        let snapshot_interval = self
-            .state
-            .durability
-            .lock()
-            .as_ref()
-            .map_or(0, Durability::snapshot_interval);
+        let snapshot_interval = self.config.snapshot_interval;
         let applied = height + 1;
         if protocol == CommitProtocol::TfCommit
             && snapshot_interval > 0
             && applied.is_multiple_of(snapshot_interval)
+            && self.state.durability.lock().is_some()
         {
             // One capture, shared by the mirror broadcast and the local
             // save.
@@ -3239,14 +3114,14 @@ impl Server {
             if self.config.mirror_checkpoints && self.repair_enabled() {
                 self.mirror_checkpoint(&snapshot);
             }
-            if let Some(durability) = self.state.durability.lock().as_mut() {
-                durability.save_snapshot(snapshot);
+            if let Some(pipeline) = self.state.durability.lock().as_ref() {
+                pipeline.submit_snapshot(snapshot);
             }
         }
 
         // Stage split for the round breakdown: the durability hand-off
-        // (inline fsync, or pipeline submit — the asynchronous fsync
-        // itself shows up as `durability.fsync_ns`) vs everything else
+        // (the pipeline submit — the asynchronous fsync itself shows up
+        // as `durability.fsync_ns`) vs everything else
         // in the apply (ledger append, Merkle recomputation, exec
         // cleanup, checkpointing). Recorded on every role: the
         // coordinator's round laps deliberately skip this segment.
@@ -3261,8 +3136,8 @@ impl Server {
             .record(Stage::MerkleUpdate, total_ns.saturating_sub(durability_ns));
         if let Some(ctx) = trace {
             let sink = &self.state.telemetry.spans;
-            // The inline durability hand-off (pipelined mode's real
-            // fsync is the writer thread's `wal.fsync` span instead).
+            // The durability hand-off (the real fsync is the writer
+            // thread's `wal.fsync` span instead).
             sink.record(Span {
                 trace_id: ctx.trace_id,
                 span_id: sink.next_id(),
@@ -3704,8 +3579,8 @@ impl Server {
         let _ = watch.lap_ns();
         stage_start_ns = now_ns();
 
-        // Figure 5 step 8: respond to the clients. Under pipelined
-        // durability the outcome is the commit acknowledgement, so it
+        // Figure 5 step 8: respond to the clients. With a durability
+        // engine the outcome is the commit acknowledgement, so it
         // is deferred until the WAL writer's fsync covers this height
         // (ordered acks — the client never observes a commit a crash
         // could undo); the coordinator itself moves straight on to the
@@ -3730,16 +3605,37 @@ impl Server {
         }
     }
 
+    /// Tells the leader of `height` that this cohort's copy of the
+    /// block is durable (quorum acks): from the writer thread once the
+    /// covering fsync lands, or at once without a durability engine (a
+    /// memory-only cohort has nothing a crash could take back).
+    fn report_durable(&self, pipeline: Option<&CommitPipeline>, height: u64) {
+        let leader = server_node(self.leader_of(height));
+        let Some(pipeline) = pipeline else {
+            self.send(leader, &Message::Durable { height });
+            return;
+        };
+        let sender = self.endpoint.sender();
+        let keypair = self.keypair;
+        let from = self.endpoint.node();
+        pipeline.on_durable(
+            height,
+            Box::new(move || {
+                let msg = Message::Durable { height };
+                sender.send(Envelope::sign(&keypair, from, leader, msg.encode()));
+            }),
+        );
+    }
+
     /// Sends `Outcome` messages for a terminated batch — one message
     /// per **client** (covering all of that client's transactions in
     /// the block).
     ///
-    /// With `durable_when_fsynced` under pipelined durability, the
-    /// sends run from the WAL writer thread once the covering fsync
-    /// lands; otherwise (inline durability, no durability, or a block
-    /// that was never applied — e.g. an invalid collective signature
-    /// the clients must see to detect the anomaly) they go out
-    /// immediately.
+    /// With `durable_when_fsynced` and a durability engine, the sends
+    /// run from the WAL writer thread once the covering fsync lands;
+    /// otherwise (no durability, or a block that was never applied —
+    /// e.g. an invalid collective signature the clients must see to
+    /// detect the anomaly) they go out immediately.
     fn send_outcomes(
         &self,
         height: u64,
@@ -3762,6 +3658,7 @@ impl Server {
         let block_bytes = signed.encode();
         let payload_for =
             |handles: &[TxnHandle]| crate::messages::encode_outcome_payload(handles, &block_bytes);
+        let durability = self.state.durability.lock();
         // Quorum-durable acks: withhold the outcomes until a majority
         // of servers (this coordinator included) reports the block
         // fsync-durable — an acknowledged commit then survives the loss
@@ -3776,23 +3673,20 @@ impl Server {
                     })
                     .collect();
                 quorum.register(height, payloads);
-                // The coordinator's own durability vote.
-                let durability = self.state.durability.lock();
+                // The coordinator's own durability vote; a memory-only
+                // coordinator has nothing to lose.
                 match durability.as_ref() {
-                    Some(Durability::Pipelined { pipeline, .. }) => {
+                    Some(pipeline) => {
                         let quorum = Arc::clone(quorum);
                         let own = self.config.idx;
                         pipeline.on_durable(height, Box::new(move || quorum.record(height, own)));
                     }
-                    // Inline engines fsynced on the apply path; a
-                    // memory-only coordinator has nothing to lose.
-                    _ => quorum.record(height, self.config.idx),
+                    None => quorum.record(height, self.config.idx),
                 }
                 return;
             }
         }
-        let durability = self.state.durability.lock();
-        if let Some(Durability::Pipelined { pipeline, .. }) = durability.as_ref() {
+        if let Some(pipeline) = durability.as_ref() {
             if durable_when_fsynced {
                 let sender = self.endpoint.sender();
                 let keypair = self.keypair;
@@ -3985,10 +3879,8 @@ impl Server {
                 Err(_) => return None,
             };
             match msg {
-                Message::Begin { txn } => self.handle_begin(txn),
-                Message::Read { txn, key } => self.handle_read(from, txn, key),
                 Message::ReadMany { txn, keys } => self.handle_read_many(from, txn, keys),
-                Message::Write { txn, key, value } => self.handle_write(from, txn, key, value),
+                Message::Write { txn, key, .. } => self.handle_write(from, txn, key),
                 Message::EndTxn { handle, record } => {
                     self.handle_end_txn(from, handle, record, trace);
                 }

@@ -361,6 +361,10 @@ impl FidesCluster {
                 .as_ref()
                 .is_some_and(|p| p.mirror_checkpoints),
             quorum_acks: config.persistence.as_ref().is_some_and(|p| p.quorum_acks),
+            snapshot_interval: config
+                .persistence
+                .as_ref()
+                .map_or(0, |p| p.snapshot_interval),
             rotate_leaders: config.rotate_leaders,
             stall_timeout: config.stall_timeout.unwrap_or(config.round_timeout),
         }
@@ -755,9 +759,9 @@ impl FidesCluster {
     }
 
     /// Stops every server thread and joins them, then shuts down each
-    /// server's durability engine — a pipelined engine drains and
-    /// fsyncs everything before its writer thread exits, so a restart
-    /// over the same directory recovers the complete history.
+    /// server's durability engine — it drains and fsyncs everything
+    /// before its writer thread exits, so a restart over the same
+    /// directory recovers the complete history.
     pub fn shutdown(mut self) {
         for s in 0..self.config.n_servers {
             let env = Envelope::sign(

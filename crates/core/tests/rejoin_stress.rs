@@ -166,7 +166,7 @@ fn disk_loss_below_pruned_floor_rejoins_via_checkpoint_transfer() {
                         // Tiny segments so pruning actually evicts the
                         // prefix below each snapshot.
                         segment_bytes: 512,
-                        sync: SyncPolicy::Batch,
+                        ..WalConfig::default()
                     })
                     .snapshot_interval(4)
                     .prune_wal(true)
@@ -267,14 +267,7 @@ fn tampered_transfer_refuted_and_reported() {
             .batch_size(2)
             .flush_interval(Duration::from_millis(5))
             .round_timeout(Duration::from_millis(300))
-            .persistence(
-                PersistenceConfig::files(dir.path())
-                    .wal(WalConfig {
-                        sync: SyncPolicy::Batch,
-                        ..WalConfig::default()
-                    })
-                    .snapshot_interval(0),
-            );
+            .persistence(PersistenceConfig::files(dir.path()).snapshot_interval(0));
         if behaviors {
             config = config
                 .behavior(0, tamper.clone())
@@ -364,14 +357,7 @@ fn snapshot_ahead_of_torn_wal_starts_repairing_and_lagging_is_excused() {
             .batch_size(1)
             .flush_interval(Duration::from_millis(5))
             .round_timeout(Duration::from_millis(300))
-            .persistence(
-                PersistenceConfig::files(dir.path())
-                    .wal(WalConfig {
-                        sync: SyncPolicy::Batch,
-                        ..WalConfig::default()
-                    })
-                    .snapshot_interval(4),
-            )
+            .persistence(PersistenceConfig::files(dir.path()).snapshot_interval(4))
     };
     let mut cluster = FidesCluster::start(config());
     {
@@ -467,7 +453,7 @@ fn forged_checkpoint_mirror_refuted() {
                 PersistenceConfig::files(dir.path())
                     .wal(WalConfig {
                         segment_bytes: 512,
-                        sync: SyncPolicy::Batch,
+                        ..WalConfig::default()
                     })
                     .snapshot_interval(4)
                     .prune_wal(true)

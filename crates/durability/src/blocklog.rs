@@ -320,7 +320,7 @@ mod tests {
         let blocks = chain(10);
         let config = WalConfig {
             segment_bytes: 512,
-            sync: SyncPolicy::Batch,
+            sync: SyncPolicy::Pipelined,
         };
         {
             let (mut log, existing) = WalBlockLog::open(dir.path(), config).unwrap();
@@ -341,7 +341,7 @@ mod tests {
         let blocks = chain(8);
         let config = WalConfig {
             segment_bytes: 256,
-            sync: SyncPolicy::Batch,
+            sync: SyncPolicy::Pipelined,
         };
         {
             let (mut log, _) = WalBlockLog::open(dir.path(), config).unwrap();
@@ -377,7 +377,7 @@ mod tests {
         let blocks = chain(40);
         let config = WalConfig {
             segment_bytes: 512,
-            sync: SyncPolicy::Batch,
+            sync: SyncPolicy::Pipelined,
         };
         let (mut log, _) =
             WalBlockLog::open_with_archive(dir.join("wal"), dir.join("archive"), config).unwrap();

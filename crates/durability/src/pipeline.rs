@@ -1,9 +1,10 @@
 //! Asynchronous group commit: a dedicated WAL writer thread with an
 //! ordered-ack guarantee.
 //!
-//! Under [`SyncPolicy::Pipelined`] a server no longer pays the fsync on
-//! its commit path. Terminated blocks are handed to a
-//! [`CommitPipeline`], whose writer thread drains everything queued
+//! This is every persisted server's one durability engine: a server
+//! never pays the fsync on its commit path, and all of its WAL and
+//! snapshot I/O runs on the writer thread. Terminated blocks are handed
+//! to a [`CommitPipeline`], whose writer thread drains everything queued
 //! since the last disk round-trip, appends the whole batch, issues
 //! **one** covering fsync, and only then advances the durable watermark
 //! — batching appends *across rounds*, not just within one block. The
@@ -29,9 +30,9 @@
 //! After a snapshot is saved the writer prunes WAL segments below it
 //! when pruning is enabled — the disk stays bounded while the pipeline
 //! runs — but never above the oldest peer mirror it has persisted
-//! ([`PruneFloor`]).
-//!
-//! [`SyncPolicy::Pipelined`]: crate::wal::SyncPolicy::Pipelined
+//! ([`PruneFloor`]). Segments the log archives when pruning stay
+//! readable through [`CommitPipeline::read_archived`]: repair peers
+//! serve history below their in-memory log from there.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -67,11 +68,11 @@ pub struct PipelineConfig {
     /// The window is *demand-driven*: it only runs while nothing is
     /// waiting on the fsync. A registered durable-ack ([`CommitPipeline
     /// ::on_durable`]) or a barrier command (flush, reset, kill,
-    /// snapshot queries) cuts it short immediately, so a round leader's
-    /// outcome fan-out never waits out the gather — in practice only
-    /// follower replicas (which append every decided block but have no
-    /// waiters) coalesce, and the window can be generous (tens of
-    /// milliseconds) without touching commit latency.
+    /// snapshot and archive queries) cuts it short immediately, so a
+    /// round leader's outcome fan-out never waits out the gather — in
+    /// practice only follower replicas (which append every decided
+    /// block but have no waiters) coalesce, and the window can be
+    /// generous (tens of milliseconds) without touching commit latency.
     pub gather_window: Duration,
 }
 
@@ -130,6 +131,9 @@ enum Cmd {
     Reset(Arc<ShardSnapshot>, crossbeam_channel::Sender<()>),
     /// Reply with the newest persisted snapshot (audit surrender).
     LoadLatest(crossbeam_channel::Sender<Option<ShardSnapshot>>),
+    /// Reply with the blocks the log archived when pruning (repair
+    /// serving below the in-memory log).
+    ReadArchived(crossbeam_channel::Sender<Option<Vec<Block>>>),
     /// Fsync whatever is pending and signal the barrier.
     Flush(crossbeam_channel::Sender<()>),
     /// Test hook: stop immediately, abandoning buffered (un-fsynced)
@@ -317,6 +321,17 @@ impl CommitPipeline {
         rx.recv().ok().flatten()
     }
 
+    /// The blocks the log parked in its archive when pruning, in height
+    /// order, fetched through the writer thread (which owns the log) —
+    /// what a repair peer serves when a lagging server asks for history
+    /// below the in-memory log. `None` when the log keeps no archive or
+    /// the archive fails its integrity checks.
+    pub fn read_archived(&self) -> Option<Vec<Block>> {
+        let (tx, rx) = crossbeam_channel::unbounded();
+        self.send(Cmd::ReadArchived(tx));
+        rx.recv().ok().flatten()
+    }
+
     /// Registers `ack` to run once every block at height `< height + 1`
     /// is fsync-covered — i.e. once block `height` is durable. Runs
     /// inline when that is already true. Acks fire in height order
@@ -430,7 +445,8 @@ fn writer_loop(
         // demanding an immediate fsync, wait a little longer for more
         // appends — blocks from the next overlapped round arrive within
         // the window and ride the same covering fsync. A barrier command
-        // (flush/reset/kill/load) ends the gather immediately.
+        // (flush/reset/kill, or a query someone blocks on) ends the
+        // gather immediately.
         //
         // The gather is *demand-driven*: a registered durable-ack means
         // someone (a leader's outcome fan-out, a blocked client) is
@@ -445,7 +461,11 @@ fn writer_loop(
         let is_barrier = |cmd: &Cmd| {
             matches!(
                 cmd,
-                Cmd::Flush(_) | Cmd::Reset(..) | Cmd::Kill | Cmd::LoadLatest(_)
+                Cmd::Flush(_)
+                    | Cmd::Reset(..)
+                    | Cmd::Kill
+                    | Cmd::LoadLatest(_)
+                    | Cmd::ReadArchived(_)
             )
         };
         // Traced appends in this batch: their `wal.fsync` spans close
@@ -522,6 +542,9 @@ fn writer_loop(
                 }
                 Cmd::LoadLatest(reply) => {
                     let _ = reply.send(snapshots.load_latest().ok().flatten());
+                }
+                Cmd::ReadArchived(reply) => {
+                    let _ = reply.send(log.read_archived().ok().flatten());
                 }
                 Cmd::Flush(done) => barriers.push(done),
                 Cmd::Kill => {
@@ -985,5 +1008,61 @@ mod tests {
         assert_eq!(recovered.log.tip_hash(), blocks[39].hash());
         assert_eq!(recovered.replay_from(), 32);
         assert_eq!(recovered.replay_blocks().len(), 8);
+    }
+
+    #[test]
+    fn archive_read_returns_exactly_the_pruned_blocks() {
+        let dir = TempDir::new("pipeline-archive");
+        let blocks = chain(40);
+        let tiny = WalConfig {
+            segment_bytes: 512, // force rotations so pruning can bite
+            ..WalConfig::default()
+        };
+        let shard = fides_store::AuthenticatedShard::new(vec![(
+            fides_store::Key::new("k"),
+            fides_store::Value::from_i64(1),
+        )]);
+        let snapshot = Arc::new(ShardSnapshot::capture(
+            &shard,
+            32,
+            blocks[31].hash(),
+            fides_store::Timestamp::ZERO,
+        ));
+        // Runs the pipeline over `log` until a snapshot at 32 prunes
+        // it; returns the archive reads from before and after.
+        let prune = |log: WalBlockLog| {
+            let pipeline = CommitPipeline::new(
+                Box::new(log),
+                Box::new(MemorySnapshotStore::new()),
+                0,
+                PipelineConfig::default(),
+            );
+            for block in &blocks {
+                pipeline.submit_block(block);
+            }
+            pipeline.flush();
+            let before = pipeline.read_archived();
+            pipeline.submit_snapshot(Arc::clone(&snapshot));
+            pipeline.flush();
+            (before, pipeline.read_archived())
+        };
+
+        let (log, _) =
+            WalBlockLog::open_with_archive(dir.join("wal"), dir.join("archive"), tiny).unwrap();
+        let (before, after) = prune(log);
+        assert_eq!(before, None, "nothing is archived before the prune");
+        let archived = after.expect("the prune archived segments");
+        assert!(!archived.is_empty() && archived.len() <= 32);
+        assert_eq!(archived, blocks[..archived.len()], "height order from 0");
+        // Exactly the pruned prefix: the live WAL starts where the
+        // archive ends.
+        let (_, live) = WalBlockLog::open(dir.join("wal"), tiny).unwrap();
+        assert_eq!(live[0].height, archived.len() as u64);
+
+        // Without an archive the pruned blocks are gone.
+        let (log, _) = WalBlockLog::open(dir.join("plain"), tiny).unwrap();
+        assert_eq!(prune(log), (None, None));
+        let (_, live) = WalBlockLog::open(dir.join("plain"), tiny).unwrap();
+        assert!(live[0].height > 0, "the plain WAL was pruned too");
     }
 }

@@ -12,7 +12,10 @@
 //!
 //! Appends are buffered and flushed with one `fsync` per [`sync`] call
 //! (group commit): callers append a batch of records and pay the disk
-//! round-trip once. When a segment grows past the configured size, the
+//! round-trip once. A server never calls it on its commit path: each
+//! server's WAL is owned by a [`CommitPipeline`] writer thread, whose
+//! one covering `fsync` spans every block queued since the previous
+//! one. When a segment grows past the configured size, the
 //! writer seals it with a final `fsync` and rotates to a fresh segment,
 //! so old segments are immutable and recovery reads them strictly
 //! sequentially.
@@ -30,6 +33,7 @@
 //!
 //! [`open`]: SegmentedWal::open
 //! [`sync`]: SegmentedWal::sync
+//! [`CommitPipeline`]: crate::pipeline::CommitPipeline
 
 use core::fmt;
 use std::fs::{self, File, OpenOptions};
@@ -47,20 +51,15 @@ pub const SEGMENT_HEADER_BYTES: u64 = 8 + 4 + 8;
 /// Bytes of record framing: length + CRC-32.
 pub const RECORD_HEADER_BYTES: u64 = 4 + 4;
 
-/// When appended records are forced to stable storage.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// Whether [`SegmentedWal::sync`] forces records to stable storage.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SyncPolicy {
-    /// Every [`SegmentedWal::append`] flushes and `fsync`s immediately.
-    Always,
-    /// Records accumulate until an explicit [`SegmentedWal::sync`] —
-    /// the group-commit mode servers run in (one fsync per block).
-    Batch,
-    /// Asynchronous group commit: appends are batched **across rounds**
-    /// by a dedicated writer thread (see
-    /// [`CommitPipeline`](crate::pipeline::CommitPipeline)) and commits
-    /// are acknowledged only after the covering fsync. At the WAL layer
-    /// this behaves exactly like [`SyncPolicy::Batch`] — the asynchrony
-    /// lives in the pipeline that owns the log.
+    /// Records accumulate until an explicit [`SegmentedWal::sync`],
+    /// which `fsync`s them (group commit). The name is the
+    /// [`CommitPipeline`](crate::pipeline::CommitPipeline)'s: its writer
+    /// thread batches appends **across rounds** under one covering
+    /// fsync, and commits are acknowledged only after it.
+    #[default]
     Pipelined,
     /// Flush to the OS but never `fsync` (tests and benchmarks only;
     /// a power failure may lose acknowledged records).
@@ -80,7 +79,7 @@ impl Default for WalConfig {
     fn default() -> Self {
         WalConfig {
             segment_bytes: 8 * 1024 * 1024,
-            sync: SyncPolicy::Batch,
+            sync: SyncPolicy::default(),
         }
     }
 }
@@ -444,35 +443,9 @@ impl SegmentedWal {
         &self.dir
     }
 
-    /// Appends one record. With [`SyncPolicy::Always`] the record is
-    /// durable on return; otherwise it becomes durable at the next
+    /// Appends one record; it becomes durable at the next
     /// [`SegmentedWal::sync`] (group commit).
     pub fn append(&mut self, payload: &[u8]) -> Result<(), WalError> {
-        self.append_inner(payload, true)
-    }
-
-    /// Appends a batch of records and makes the whole batch durable
-    /// with a single flush (one fsync under [`SyncPolicy::Batch`] /
-    /// [`SyncPolicy::Always`]).
-    pub fn append_batch<'a>(
-        &mut self,
-        payloads: impl IntoIterator<Item = &'a [u8]>,
-    ) -> Result<(), WalError> {
-        // Only the *per-record* eager sync is suppressed; a rotation
-        // occurring mid-batch still seals the outgoing segment with its
-        // fsync (open() relies on sealed segments being durable).
-        payloads
-            .into_iter()
-            .try_for_each(|p| self.append_inner(p, false))?;
-        match self.config.sync {
-            SyncPolicy::NoFsync => self.flush(),
-            _ => self.sync(),
-        }
-    }
-
-    /// The shared append path; `eager_sync` gates the per-record
-    /// [`SyncPolicy::Always`] fsync (suppressed inside a batch).
-    fn append_inner(&mut self, payload: &[u8], eager_sync: bool) -> Result<(), WalError> {
         if self.active_len >= self.config.segment_bytes && self.active_len > SEGMENT_HEADER_BYTES {
             self.rotate()?;
         }
@@ -487,10 +460,19 @@ impl SegmentedWal {
         self.active_len += RECORD_HEADER_BYTES + payload.len() as u64;
         self.next_record += 1;
         self.dirty = true;
-        if eager_sync && self.config.sync == SyncPolicy::Always {
-            self.sync()?;
-        }
         Ok(())
+    }
+
+    /// Appends a batch of records and makes the whole batch durable
+    /// with a single [`SegmentedWal::sync`]. A rotation occurring
+    /// mid-batch still seals the outgoing segment with its fsync
+    /// (open() relies on sealed segments being durable).
+    pub fn append_batch<'a>(
+        &mut self,
+        payloads: impl IntoIterator<Item = &'a [u8]>,
+    ) -> Result<(), WalError> {
+        payloads.into_iter().try_for_each(|p| self.append(p))?;
+        self.sync()
     }
 
     /// Flushes buffered records to the OS without `fsync`.
@@ -500,8 +482,8 @@ impl SegmentedWal {
     }
 
     /// Forces all appended records to stable storage — the group-commit
-    /// point. A no-op when nothing is pending or under
-    /// [`SyncPolicy::NoFsync`].
+    /// point. A no-op when nothing is pending; under
+    /// [`SyncPolicy::NoFsync`] it only flushes to the OS.
     pub fn sync(&mut self) -> Result<(), WalError> {
         if !self.dirty {
             return Ok(());
@@ -776,7 +758,7 @@ mod tests {
     fn tiny_config() -> WalConfig {
         WalConfig {
             segment_bytes: 256,
-            sync: SyncPolicy::Batch,
+            sync: SyncPolicy::Pipelined,
         }
     }
 
@@ -854,7 +836,7 @@ mod tests {
                 dir.path(),
                 WalConfig {
                     segment_bytes: 1 << 20, // keep one segment
-                    sync: SyncPolicy::Batch,
+                    sync: SyncPolicy::Pipelined,
                 },
             )
             .unwrap();

@@ -120,7 +120,7 @@ fn network_counts_messages() {
     let mut client = cluster.client(0);
     let key = cluster.key_of(0, 0);
     client.run_rmw(&[key], 1).unwrap();
-    // Begin + read + write + end-txn + 4 protocol phases × 2 cohorts…
+    // read + write (with replies) + end-txn + 4 protocol phases × 2 cohorts…
     assert!(cluster.network_stats().messages_sent() > 10);
     assert_eq!(cluster.network_stats().messages_dropped(), 0);
     cluster.shutdown();
