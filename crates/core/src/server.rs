@@ -7,6 +7,16 @@
 //! (a Merkle-authenticated multi-versioned shard) and the
 //! **tamper-proof log**.
 //!
+//! # One dispatch
+//!
+//! [`Server::run`] hands each authenticated message to one `match`
+//! (`Server::dispatch`), then ticks. The commit round a server leads is
+//! plain data (`round::LeaderRound`) that dispatch advances: `Vote`,
+//! `Response` and `TwoPcVote` fill the open round's slots, and the tick
+//! times out a round whose phase deadline passed. Nothing blocks inside
+//! a round, so each message kind gets the same handler whether or not a
+//! round is open.
+//!
 //! # The pipelined commit hot path
 //!
 //! Server state is **lock-split into independent stages** (see
@@ -57,7 +67,7 @@ use fides_crypto::cosi::{self, Witness};
 use fides_crypto::encoding::{Decodable, Encodable};
 use fides_crypto::schnorr::{KeyPair, PublicKey};
 use fides_crypto::Digest;
-use fides_ledger::block::{Block, BlockBuilder, BlockHeader, Decision, ShardRoot, TxnRecord};
+use fides_ledger::block::{Block, BlockHeader, Decision, TxnRecord};
 use fides_ledger::log::TamperProofLog;
 use fides_net::{Endpoint, Envelope, NodeId};
 use fides_store::authenticated::{AuthenticatedShard, MhtUpdateStats};
@@ -77,7 +87,9 @@ use crate::recovery::RecoveredServer;
 use crate::repair::{verify_transfer, MirrorEntry, RepairEvidence, RepairFault, RepairShared};
 use crate::telemetry::ServerTelemetry;
 use fides_telemetry::trace::now_ns;
-use fides_telemetry::{FlightRecorder, Level, Span, Stage, Stall, Stopwatch, TraceContext};
+use fides_telemetry::{FlightRecorder, Level, Span, Stage, Stall, TraceContext};
+
+mod round;
 
 /// Map from node address to public key — the paper's "servers and
 /// clients are uniquely identifiable using their public keys" (§3.1).
@@ -180,7 +192,7 @@ pub struct ShardStage {
     /// (every server applies every commit block). The leader's batch
     /// former consults this to keep transactions whose read set is
     /// already overwritten — certain to abort under OCC — out of clean
-    /// blocks ([`Server::select_batch`]).
+    /// blocks (`Server::select_batch`).
     pub write_watermarks: HashMap<Key, Timestamp>,
 }
 
@@ -629,7 +641,10 @@ pub struct Server {
     peer_last_heard: Vec<Arc<fides_telemetry::Gauge>>,
     /// Round-progress monitor state (see [`Server::tick_watchdog`]).
     watchdog: WatchdogTick,
-    /// Coordinator: clients to notify per handle.
+    /// The commit round this server leads, while one is open: plain
+    /// data that [`Server::dispatch`] advances (see [`round`]).
+    round: Option<round::LeaderRound>,
+    /// Cleared by `Shutdown`: the message loop exits.
     running: bool,
 }
 
@@ -655,27 +670,6 @@ struct WatchdogTick {
     last_frontier: u64,
     since: Instant,
     fired_for: Option<u64>,
-}
-
-/// The per-round causal context on the leader: every stage span of the
-/// round hangs off `round_span`, which itself hangs off the sampled
-/// client's root span.
-#[derive(Clone, Copy)]
-struct RoundTrace {
-    ctx: TraceContext,
-    round_span: u64,
-    start_ns: u64,
-}
-
-impl RoundTrace {
-    /// The context downstream messages (GetVote/Challenge/Decision) and
-    /// spans carry: same trace, parented under the round span.
-    fn child_ctx(&self) -> TraceContext {
-        TraceContext {
-            trace_id: self.ctx.trace_id,
-            parent_span: self.round_span,
-        }
-    }
 }
 
 /// Blocks fetched per `RepairRequest` round trip.
@@ -920,6 +914,7 @@ impl Server {
                 since: Instant::now(),
                 fired_for: None,
             },
+            round: None,
             running: true,
         };
         (server, state)
@@ -960,8 +955,11 @@ impl Server {
     /// The server's message loop. Returns when a `Shutdown` message
     /// arrives or the network disappears.
     ///
-    /// The coordinator terminates a round as soon as a full batch is
-    /// pending, or when the oldest pending end-txn has waited
+    /// Each pass hands at most one message to `Server::dispatch`,
+    /// then ticks: an open round past its phase deadline times out, a
+    /// due batch opens the next round, and the forwarding, repair and
+    /// watchdog upkeep runs. A leader opens a round as soon as a full
+    /// batch is pending, or when the oldest pending end-txn has waited
     /// `flush_interval` — a hard deadline, so block formation keeps
     /// pace even while execution traffic streams in continuously.
     pub fn run(mut self) {
@@ -972,26 +970,30 @@ impl Server {
             self.broadcast_repair_query();
         }
         while self.running {
-            let timeout = match self.batch_deadline {
-                Some(deadline) if self.is_coordinator() || self.rotation_on() => deadline
-                    .saturating_duration_since(Instant::now())
-                    .min(self.config.flush_interval),
-                _ => self.config.flush_interval,
+            // An open round waits for its phase deadline; the batch
+            // deadline matters only once no round is open.
+            let wake = match (&self.round, self.batch_deadline) {
+                (Some(round), _) => Some(round.deadline),
+                (None, deadline) if self.is_coordinator() || self.rotation_on() => deadline,
+                _ => None,
             };
+            let timeout = wake.map_or(self.config.flush_interval, |wake| {
+                wake.saturating_duration_since(Instant::now())
+                    .min(self.config.flush_interval)
+            });
             match self.next_message(Instant::now() + timeout) {
-                Ok((from, msg, trace)) => {
-                    self.dispatch(from, msg, trace);
-                    self.drive_rounds();
-                    self.maybe_forward_pending();
-                    self.drive_repair();
-                }
-                Err(fides_net::RecvError::Timeout) => {
-                    self.drive_rounds();
-                    self.maybe_forward_pending();
-                    self.drive_repair();
-                }
+                Ok((from, msg, trace)) => self.dispatch(from, msg, trace),
+                Err(fides_net::RecvError::Timeout) => {}
                 Err(fides_net::RecvError::Disconnected) => break,
             }
+            if !self.running {
+                // A round still open at shutdown is dropped, not timed out.
+                break;
+            }
+            self.expire_round();
+            self.drive_rounds();
+            self.maybe_forward_pending();
+            self.drive_repair();
             self.tick_watchdog();
         }
     }
@@ -1008,7 +1010,7 @@ impl Server {
     /// ring + metrics snapshot + inflight round state) into the
     /// server's [`fides_telemetry::StallLog`], and fires once per
     /// stalled height — the trigger substrate for a timeout-driven
-    /// view change (ROADMAP item 1).
+    /// view change (ROADMAP item 6, failover).
     fn tick_watchdog(&mut self) {
         if self.config.stall_timeout.is_zero() {
             return;
@@ -1110,35 +1112,25 @@ impl Server {
         }
     }
 
-    /// Runs rounds while a full batch is queued or the batch deadline
-    /// has passed (later end-txns may arrive during a round).
+    /// Opens a round when none is open and a full batch is queued or
+    /// the batch deadline has passed. Loops only while rounds end as
+    /// they open (a lone server holds every vote itself).
     ///
-    /// A repairing coordinator drives no rounds: its log tip is behind
-    /// the chain, so any block it formed would not extend its peers'
-    /// logs. Pending end-txns wait (or get bounced as stale) until the
-    /// repair installs.
+    /// A repairing leader drives no rounds: its log tip is behind the
+    /// chain, so any block it formed would not extend its peers' logs.
+    /// Pending end-txns wait (or get bounced as stale) until the repair
+    /// installs.
     fn drive_rounds(&mut self) {
         if self.repair_task.is_some() || self.state.is_repairing() {
             return;
         }
-        while self.running && self.leads_frontier() && !self.pending.is_empty() {
+        while self.round.is_none() && self.leads_frontier() && !self.pending.is_empty() {
             let due = self.pending.len() >= self.config.batch_size
                 || self
                     .batch_deadline
                     .is_some_and(|deadline| Instant::now() >= deadline);
-            if !due {
+            if !due || !self.open_round() {
                 return;
-            }
-            let before = self.pending.len();
-            self.run_round();
-            self.batch_deadline = if self.pending.is_empty() {
-                None
-            } else {
-                // Leftovers start a fresh window.
-                Some(Instant::now() + self.config.flush_interval)
-            };
-            if self.pending.len() >= before {
-                break; // nothing progressed (all deferred)
             }
         }
     }
@@ -1218,6 +1210,9 @@ impl Server {
         }
     }
 
+    /// The one dispatch: every received message goes to its handler
+    /// here, whether or not this server has a round open. Replies to the
+    /// open round advance it ([`Server::on_round_reply`]).
     fn dispatch(&mut self, from: NodeId, msg: Message, trace: Option<TraceContext>) {
         match msg {
             Message::ReadMany { txn, keys } => self.handle_read_many(from, txn, keys),
@@ -1236,7 +1231,9 @@ impl Server {
             }
             Message::Flush if !self.pending.is_empty() && !self.state.is_repairing() => {
                 if self.leads_frontier() {
-                    self.run_round();
+                    // Due now: the loop's tick opens the round, unless
+                    // one is open (its end restarts the batch window).
+                    self.batch_deadline = Some(Instant::now());
                 } else if self.rotation_on() {
                     self.forward_pending();
                 }
@@ -1248,6 +1245,11 @@ impl Server {
                 challenge,
             } => self.handle_challenge(from, block, aggregate, challenge, trace),
             Message::Decision { block } => self.handle_decision_traced(block, trace),
+            reply @ (Message::Vote { .. }
+            | Message::Response { .. }
+            | Message::TwoPcVote { .. }) => {
+                self.on_round_reply(from, reply);
+            }
             Message::TwoPcGetVote { partial } => self.handle_2pc_get_vote(from, partial),
             Message::TwoPcDecision { block } => self.handle_2pc_decision(block),
             Message::RepairQuery { next_height } => self.handle_repair_query(from, next_height),
@@ -1282,8 +1284,7 @@ impl Server {
             } => self.handle_snapshot_read(from, req, shard, keys, min_covered, at_height),
             Message::RootQuery { from: from_height } => self.handle_root_query(from, from_height),
             Message::Shutdown => self.running = false,
-            // Responses to rounds we are not currently collecting for —
-            // stale protocol traffic — are dropped.
+            // Replies meant for clients, and forwards outside rotation.
             _ => {}
         }
     }
@@ -1797,22 +1798,26 @@ impl Server {
     // Cohort: 2PC baseline (§6.1).
     // ------------------------------------------------------------------
 
+    /// This server's 2PC vote on a batch: OCC over its own shard's
+    /// slice, commit when the batch does not touch it.
+    fn twopc_vote(&self, partial: &PartialBlock) -> (bool, Vec<Timestamp>) {
+        if !self.involvement(&partial.txns).contains(&self.config.idx) {
+            return (true, Vec::new());
+        }
+        let stage = self.state.shard.lock();
+        let shard = &stage.shard;
+        let failed = occ::validate_batch_parallel(&partial.txns, |key| {
+            if self.partitioner.owner(key) == self.config.idx {
+                shard.read(key)
+            } else {
+                None
+            }
+        });
+        (failed.is_empty(), failed)
+    }
+
     fn handle_2pc_get_vote(&mut self, from: NodeId, partial: PartialBlock) {
-        let involved = self.involvement(&partial.txns);
-        let (commit, failed) = if involved.contains(&self.config.idx) {
-            let stage = self.state.shard.lock();
-            let shard = &stage.shard;
-            let failed = occ::validate_batch_parallel(&partial.txns, |key| {
-                if self.partitioner.owner(key) == self.config.idx {
-                    shard.read(key)
-                } else {
-                    None
-                }
-            });
-            (failed.is_empty(), failed)
-        } else {
-            (true, Vec::new())
-        };
+        let (commit, failed) = self.twopc_vote(&partial);
         self.send(
             from,
             &Message::TwoPcVote {
@@ -3159,452 +3164,6 @@ impl Server {
         }
     }
 
-    // ------------------------------------------------------------------
-    // Coordinator (§4.1: "one designated server acts as the transaction
-    // coordinator responsible for terminating all transactions").
-    // ------------------------------------------------------------------
-
-    /// Terminates the current pending batch with one protocol round.
-    ///
-    /// The round clock starts *before* batch selection so the six stage
-    /// histograms ([`Stage`]) tile `round_nanos`: contiguous
-    /// [`Stopwatch`] laps cover batch formation through outcome send.
-    fn run_round(&mut self) {
-        let start = Instant::now();
-        let mut watch = Stopwatch::new();
-        let round_start_ns = now_ns();
-        let batch = self.select_batch();
-        if batch.is_empty() {
-            return;
-        }
-        // One sampled transaction makes the whole round traced: the
-        // round span parents every stage span this leader records and
-        // (via the traced broadcasts) every cohort span elsewhere.
-        let round_trace = batch.iter().find_map(|p| p.trace).map(|ctx| RoundTrace {
-            ctx,
-            round_span: self.state.telemetry.spans.next_id(),
-            start_ns: round_start_ns,
-        });
-        self.state
-            .telemetry
-            .stages
-            .record(Stage::BatchForm, watch.lap_ns());
-        let n_txns = batch.len() as u64;
-        let height_before = self.state.ledger.lock().log.next_height();
-        if let Some(rt) = round_trace {
-            let sink = &self.state.telemetry.spans;
-            sink.close(
-                rt.ctx.trace_id,
-                sink.next_id(),
-                rt.round_span,
-                Stage::BatchForm.metric_name(),
-                round_start_ns,
-                height_before,
-            );
-        }
-        match self.config.protocol {
-            CommitProtocol::TfCommit => self.run_tfcommit_round(batch, &mut watch, round_trace),
-            CommitProtocol::TwoPhaseCommit => self.run_2pc_round(batch),
-        }
-        if let Some(rt) = round_trace {
-            let sink = &self.state.telemetry.spans;
-            sink.close(
-                rt.ctx.trace_id,
-                rt.round_span,
-                rt.ctx.parent_span,
-                "commit.round",
-                rt.start_ns,
-                height_before,
-            );
-        }
-        let elapsed = start.elapsed();
-        self.state.telemetry.rounds.inc();
-        self.state.telemetry.rounds_led.inc();
-        let mut ledger = self.state.ledger.lock();
-        ledger.round_stats.rounds += 1;
-        ledger.round_stats.round_nanos += elapsed.as_nanos();
-        // Committed iff the round appended a commit block.
-        let committed = ledger.log.next_height() > height_before
-            && ledger
-                .log
-                .last()
-                .is_some_and(|b| b.decision == Decision::Commit);
-        if committed {
-            ledger.round_stats.committed_txns += n_txns;
-        } else {
-            ledger.round_stats.aborted_txns += n_txns;
-        }
-    }
-
-    /// Picks up to `batch_size` pending transactions, in timestamp
-    /// order, skipping any that conflict (share a key) with an earlier
-    /// selection — "a set of non-conflicting transactions" (§4.6).
-    ///
-    /// Transactions whose timestamp has fallen at or below
-    /// `last_committed` while queued are bounced back to their clients
-    /// for a fresh timestamp instead of entering the batch: one stale
-    /// straggler would otherwise make every cohort vote abort for the
-    /// **whole block** (§4.3.1's sequential-log rule), amplifying a
-    /// single retry into a full batch of aborts under deep pipelining.
-    fn select_batch(&mut self) -> Vec<PendingTxn> {
-        let last_committed = self.state.last_committed();
-        let stale: Vec<PendingTxn> = {
-            let (stale, fresh) = self
-                .pending
-                .drain(..)
-                .partition(|p| p.record.id <= last_committed);
-            self.pending = fresh;
-            stale
-        };
-        for p in &stale {
-            self.send(
-                p.client,
-                &Message::EndTxnRejected {
-                    handle: p.handle,
-                    hint: last_committed,
-                },
-            );
-        }
-        self.pending.sort_by_key(|p| p.record.id);
-        // Doom filter: a transaction whose read entry (key, wts) is
-        // older than the newest committed write of that key is certain
-        // to fail OCC at its owner — one such straggler makes every
-        // cohort vote abort for the whole block. Keep doomed
-        // transactions out of clean batches; they terminate through a
-        // dedicated round of their own (which aborts and gives their
-        // clients a properly co-signed abort outcome) once no clean
-        // work is pending or they have deferred [`MAX_DOOMED_DEFERRALS`]
-        // times.
-        let (clean, mut doomed): (Vec<PendingTxn>, Vec<PendingTxn>) = {
-            let stage = self.state.shard.lock();
-            self.pending.drain(..).partition(|p| {
-                !p.record.read_set.iter().any(|r| {
-                    stage
-                        .write_watermarks
-                        .get(&r.key)
-                        .is_some_and(|mark| *mark > r.wts)
-                })
-            })
-        };
-        let flush_doomed = !doomed.is_empty()
-            && (clean.is_empty() || doomed.iter().any(|p| p.deferrals >= MAX_DOOMED_DEFERRALS));
-        let (mut source, mut rest) = if flush_doomed {
-            (doomed, clean)
-        } else {
-            for p in &mut doomed {
-                p.deferrals += 1;
-            }
-            (clean, doomed)
-        };
-        let mut touched: HashSet<Key> = HashSet::new();
-        let mut batch = Vec::new();
-        for txn in source.drain(..) {
-            let keys: Vec<Key> = txn
-                .record
-                .read_set
-                .iter()
-                .map(|r| r.key.clone())
-                .chain(txn.record.write_set.iter().map(|w| w.key.clone()))
-                .collect();
-            let conflicts = keys.iter().any(|k| touched.contains(k));
-            if batch.len() < self.config.batch_size && !conflicts {
-                touched.extend(keys);
-                batch.push(txn);
-            } else {
-                rest.push(txn);
-            }
-        }
-        self.pending = rest;
-        batch
-    }
-
-    fn run_tfcommit_round(
-        &mut self,
-        batch: Vec<PendingTxn>,
-        watch: &mut Stopwatch,
-        trace: Option<RoundTrace>,
-    ) {
-        let (height, prev_hash) = {
-            let ledger = self.state.ledger.lock();
-            (ledger.log.next_height(), ledger.log.tip_hash())
-        };
-        let partial = PartialBlock {
-            height,
-            txns: batch.iter().map(|p| p.record.clone()).collect(),
-            prev_hash,
-        };
-        // Downstream envelopes carry the round span as parent, so the
-        // cohort spans of a sampled round attach under it.
-        let child_ctx = trace.map(|t| t.child_ctx());
-        let mut stage_start_ns = now_ns();
-
-        // Phase 1 <GetVote, SchAnnouncement>.
-        self.broadcast_to_servers_traced(
-            &Message::GetVote {
-                partial: partial.clone(),
-            },
-            child_ctx,
-        );
-        // The coordinator is also a witness/cohort (§4.3.1 phase 2).
-        let (own_commitment, own_involved) = self.cohort_vote(&partial);
-
-        // Phase 2: collect votes from every other server.
-        let mut commitments: Vec<Option<cosi::Commitment>> =
-            vec![None; self.config.n_servers as usize];
-        let mut involved_votes: Vec<Option<InvolvedVote>> =
-            vec![None; self.config.n_servers as usize];
-        commitments[self.config.idx as usize] = Some(own_commitment);
-        involved_votes[self.config.idx as usize] = own_involved;
-
-        let ok = self.collect_votes(height, &mut commitments, &mut involved_votes);
-        self.state
-            .telemetry
-            .stages
-            .record(Stage::OccValidate, watch.lap_ns());
-        if let Some(rt) = trace {
-            let sink = &self.state.telemetry.spans;
-            sink.close(
-                rt.ctx.trace_id,
-                sink.next_id(),
-                rt.round_span,
-                Stage::OccValidate.metric_name(),
-                stage_start_ns,
-                height,
-            );
-        }
-        stage_start_ns = now_ns();
-        if ok && self.state.behavior().stall_after_votes {
-            // Fault hook for the liveness watchdog tests: the leader
-            // collects every vote, then goes silent — no Challenge, no
-            // Decision, no rejection. Cohorts hold their CoSi witnesses
-            // open forever; their round-progress watchdogs must fire.
-            self.state.telemetry.events.record(
-                Level::Warn,
-                "commit",
-                format!("stall_after_votes: abandoning round at height {height}"),
-            );
-            return;
-        }
-        if !ok {
-            // Timed-out round (crashed cohort): TFCommit is blocking
-            // (§4.3.1); we surface the failure to the clients instead of
-            // blocking forever.
-            self.state.telemetry.round_timeouts.inc();
-            self.state.telemetry.events.record(
-                Level::Warn,
-                "commit",
-                format!("vote collection timed out at height {height}"),
-            );
-            self.reject_batch(&batch);
-            return;
-        }
-
-        // Phase 3 <null, SchChallenge>: form the decision and the block.
-        let all_commit = involved_votes.iter().flatten().all(|v| v.commit);
-        let decision = if all_commit {
-            Decision::Commit
-        } else {
-            Decision::Abort
-        };
-        let mut builder = BlockBuilder::new(height, prev_hash)
-            .txns(partial.txns.clone())
-            .decision(decision);
-        for (s, vote) in involved_votes.iter().enumerate() {
-            if let Some(InvolvedVote {
-                commit: true,
-                root: Some(root),
-                ..
-            }) = vote
-            {
-                builder = builder.root(ShardRoot {
-                    server: s as u32,
-                    root: *root,
-                });
-            }
-        }
-        let mut block = builder.build_unsigned();
-
-        // Fault: replace a benign server's root (§5 Scenario 2).
-        let fake_root_for = self.state.behavior().fake_root_for;
-        if let Some(victim) = fake_root_for {
-            for r in &mut block.roots {
-                if r.server == victim {
-                    r.root = Digest::new([0xEE; 32]);
-                }
-            }
-        }
-
-        let all_commitments: Vec<cosi::Commitment> =
-            commitments.iter().map(|c| c.expect("collected")).collect();
-        let aggregate =
-            cosi::Commitment(cosi::aggregate_commitments(all_commitments.iter().copied()));
-        let challenge = cosi::challenge(&aggregate.0, &block.signing_bytes());
-
-        // Fault: equivocate (Lemma 5 Case 1) — commit block to even
-        // cohorts, abort block to odd cohorts, same challenge.
-        let equivocate = self.state.behavior().equivocate_decision;
-        if equivocate {
-            let alt = Block {
-                decision: Decision::Abort,
-                roots: Vec::new(),
-                ..block.clone()
-            };
-            for s in 0..self.config.n_servers {
-                if s == self.config.idx {
-                    continue;
-                }
-                let which = if s % 2 == 0 {
-                    block.clone()
-                } else {
-                    alt.clone()
-                };
-                self.send(
-                    server_node(s),
-                    &Message::Challenge {
-                        block: which,
-                        aggregate,
-                        challenge,
-                    },
-                );
-            }
-        } else {
-            self.broadcast_to_servers_traced(
-                &Message::Challenge {
-                    block: block.clone(),
-                    aggregate,
-                    challenge,
-                },
-                child_ctx,
-            );
-        }
-
-        // The coordinator's own response.
-        let own_response = self.cohort_response(&block, &aggregate, &challenge);
-
-        // Phase 4: collect responses.
-        let mut responses: Vec<Option<Result<cosi::Response, Refusal>>> =
-            vec![None; self.config.n_servers as usize];
-        responses[self.config.idx as usize] = Some(own_response);
-        if !self.collect_responses(height, &mut responses) {
-            self.state
-                .telemetry
-                .stages
-                .record(Stage::CosiAssemble, watch.lap_ns());
-            self.state.telemetry.round_timeouts.inc();
-            self.state.telemetry.events.record(
-                Level::Warn,
-                "commit",
-                format!("response collection timed out at height {height}"),
-            );
-            self.reject_batch(&batch);
-            return;
-        }
-
-        // Phase 5 <Decision, null>: assemble the collective signature.
-        let mut ok_responses = Vec::with_capacity(self.config.n_servers as usize);
-        let mut refused = false;
-        for r in responses.iter().flatten() {
-            match r {
-                Ok(resp) => ok_responses.push(*resp),
-                Err(_) => refused = true,
-            }
-        }
-        let mut cosign_valid = false;
-        let cosign = if refused {
-            // At least one cohort refused: no valid signature can exist.
-            fides_crypto::cosi::CollectiveSignature::placeholder()
-        } else {
-            let sig = fides_crypto::cosi::CollectiveSignature::assemble(
-                aggregate.0,
-                ok_responses.iter().copied(),
-            );
-            // Lemma 4: an invalid aggregate lets the coordinator identify
-            // the precise culprits by checking partial signatures.
-            if sig.verify(&block.signing_bytes(), &self.server_pks) {
-                cosign_valid = true;
-            } else {
-                let resp_list: Vec<cosi::Response> = ok_responses.clone();
-                let culprits: Vec<u32> = cosi::identify_invalid_responses(
-                    &challenge,
-                    &all_commitments,
-                    &resp_list,
-                    &self.server_pks,
-                )
-                .into_iter()
-                .map(|i| i as u32)
-                .collect();
-                self.state
-                    .ledger
-                    .lock()
-                    .cosi_culprits
-                    .push((height, culprits));
-            }
-            sig
-        };
-
-        let signed = Block { cosign, ..block };
-        self.broadcast_to_servers_traced(
-            &Message::Decision {
-                block: signed.clone(),
-            },
-            child_ctx,
-        );
-        self.state
-            .telemetry
-            .stages
-            .record(Stage::CosiAssemble, watch.lap_ns());
-        if let Some(rt) = trace {
-            let sink = &self.state.telemetry.spans;
-            sink.close(
-                rt.ctx.trace_id,
-                sink.next_id(),
-                rt.round_span,
-                Stage::CosiAssemble.metric_name(),
-                stage_start_ns,
-                height,
-            );
-        }
-        if cosign_valid {
-            // The coordinator verified this signature when assembling
-            // it; re-running the check in `handle_decision` would be
-            // pure waste on the hot path.
-            self.apply_block_traced(signed.clone(), CommitProtocol::TfCommit, child_ctx);
-            self.catch_up();
-        } else {
-            self.handle_decision_traced(signed.clone(), child_ctx);
-        }
-        // The apply segment was recorded from inside `apply_block`
-        // (MerkleUpdate + WalFsync); restart the lap clock so the
-        // outcome stage does not double-count it.
-        let _ = watch.lap_ns();
-        stage_start_ns = now_ns();
-
-        // Figure 5 step 8: respond to the clients. With a durability
-        // engine the outcome is the commit acknowledgement, so it
-        // is deferred until the WAL writer's fsync covers this height
-        // (ordered acks — the client never observes a commit a crash
-        // could undo); the coordinator itself moves straight on to the
-        // next round. An invalidly signed block was never logged (and
-        // never reaches the WAL), so its outcome — which the clients
-        // will classify as an anomaly — goes out immediately.
-        self.send_outcomes(height, &batch, &signed, cosign_valid);
-        self.state
-            .telemetry
-            .stages
-            .record(Stage::OutcomeSend, watch.lap_ns());
-        if let Some(rt) = trace {
-            let sink = &self.state.telemetry.spans;
-            sink.close(
-                rt.ctx.trace_id,
-                sink.next_id(),
-                rt.round_span,
-                Stage::OutcomeSend.metric_name(),
-                stage_start_ns,
-                height,
-            );
-        }
-    }
-
     /// Tells the leader of `height` that this cohort's copy of the
     /// block is durable (quorum acks): from the writer thread once the
     /// covering fsync lands, or at once without a durability engine (a
@@ -3625,305 +3184,6 @@ impl Server {
                 sender.send(Envelope::sign(&keypair, from, leader, msg.encode()));
             }),
         );
-    }
-
-    /// Sends `Outcome` messages for a terminated batch — one message
-    /// per **client** (covering all of that client's transactions in
-    /// the block).
-    ///
-    /// With `durable_when_fsynced` and a durability engine, the sends
-    /// run from the WAL writer thread once the covering fsync lands;
-    /// otherwise (no durability, or a block that was never applied —
-    /// e.g. an invalid collective signature the clients must see to
-    /// detect the anomaly) they go out immediately.
-    fn send_outcomes(
-        &self,
-        height: u64,
-        batch: &[PendingTxn],
-        signed: &Block,
-        durable_when_fsynced: bool,
-    ) {
-        // Group the batch's handles by client, preserving order.
-        let mut per_client: Vec<(NodeId, Vec<TxnHandle>)> = Vec::new();
-        for p in batch {
-            match per_client.iter_mut().find(|(c, _)| *c == p.client) {
-                Some((_, handles)) => handles.push(p.handle),
-                None => per_client.push((p.client, vec![p.handle])),
-            }
-        }
-        // Encode the block once; every client's payload reuses the
-        // bytes (the block is the payload's dominant cost at batch
-        // sizes, and re-encoding it per client serialized the whole
-        // fan-out on the leader).
-        let block_bytes = signed.encode();
-        let payload_for =
-            |handles: &[TxnHandle]| crate::messages::encode_outcome_payload(handles, &block_bytes);
-        let durability = self.state.durability.lock();
-        // Quorum-durable acks: withhold the outcomes until a majority
-        // of servers (this coordinator included) reports the block
-        // fsync-durable — an acknowledged commit then survives the loss
-        // of any minority of disks, not just a coordinator crash.
-        if durable_when_fsynced {
-            if let Some(quorum) = &self.quorum {
-                let payloads: Vec<(NodeId, Vec<u8>)> = per_client
-                    .into_iter()
-                    .map(|(client, handles)| {
-                        let payload = payload_for(&handles);
-                        (client, payload)
-                    })
-                    .collect();
-                quorum.register(height, payloads);
-                // The coordinator's own durability vote; a memory-only
-                // coordinator has nothing to lose.
-                match durability.as_ref() {
-                    Some(pipeline) => {
-                        let quorum = Arc::clone(quorum);
-                        let own = self.config.idx;
-                        pipeline.on_durable(height, Box::new(move || quorum.record(height, own)));
-                    }
-                    None => quorum.record(height, self.config.idx),
-                }
-                return;
-            }
-        }
-        if let Some(pipeline) = durability.as_ref() {
-            if durable_when_fsynced {
-                let sender = self.endpoint.sender();
-                let keypair = self.keypair;
-                let from = self.endpoint.node();
-                let messages: Vec<(NodeId, Vec<u8>)> = per_client
-                    .into_iter()
-                    .map(|(client, handles)| {
-                        let payload = payload_for(&handles);
-                        (client, payload)
-                    })
-                    .collect();
-                pipeline.on_durable(
-                    height,
-                    Box::new(move || {
-                        for (client, payload) in messages {
-                            sender.send(Envelope::sign(&keypair, from, client, payload));
-                        }
-                    }),
-                );
-                return;
-            }
-        }
-        drop(durability);
-        for (client, handles) in per_client {
-            let payload = payload_for(&handles);
-            self.endpoint.send(Envelope::sign(
-                &self.keypair,
-                self.endpoint.node(),
-                client,
-                payload,
-            ));
-        }
-    }
-
-    fn run_2pc_round(&mut self, batch: Vec<PendingTxn>) {
-        let (height, prev_hash) = {
-            let ledger = self.state.ledger.lock();
-            (ledger.log.next_height(), ledger.log.tip_hash())
-        };
-        let partial = PartialBlock {
-            height,
-            txns: batch.iter().map(|p| p.record.clone()).collect(),
-            prev_hash,
-        };
-        self.broadcast_to_servers(&Message::TwoPcGetVote {
-            partial: partial.clone(),
-        });
-
-        // Own vote.
-        let own_commit = {
-            let stage = self.state.shard.lock();
-            let shard = &stage.shard;
-            occ::validate_batch_parallel(&partial.txns, |key| {
-                if self.partitioner.owner(key) == self.config.idx {
-                    shard.read(key)
-                } else {
-                    None
-                }
-            })
-            .is_empty()
-        };
-
-        let mut votes: Vec<Option<bool>> = vec![None; self.config.n_servers as usize];
-        votes[self.config.idx as usize] = Some(own_commit);
-        if !self.collect_2pc_votes(height, &mut votes) {
-            self.reject_batch(&batch);
-            return;
-        }
-        let decision = if votes.iter().flatten().all(|c| *c) {
-            Decision::Commit
-        } else {
-            Decision::Abort
-        };
-        let block = BlockBuilder::new(height, prev_hash)
-            .txns(partial.txns)
-            .decision(decision)
-            .build_unsigned();
-        self.broadcast_to_servers(&Message::TwoPcDecision {
-            block: block.clone(),
-        });
-        self.handle_2pc_decision(block.clone());
-        self.send_outcomes(height, &batch, &block, true);
-    }
-
-    fn reject_batch(&mut self, batch: &[PendingTxn]) {
-        let hint = self.state.last_committed();
-        for p in batch {
-            self.send(
-                p.client,
-                &Message::EndTxnRejected {
-                    handle: p.handle,
-                    hint,
-                },
-            );
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Round message collection. While waiting for protocol responses the
-    // coordinator keeps servicing execution-layer traffic so clients of
-    // *other* transactions are not blocked.
-    // ------------------------------------------------------------------
-
-    fn collect_votes(
-        &mut self,
-        height: u64,
-        commitments: &mut [Option<cosi::Commitment>],
-        involved: &mut [Option<InvolvedVote>],
-    ) -> bool {
-        let deadline = Instant::now() + self.config.round_timeout;
-        let mut missing: usize = commitments.iter().filter(|c| c.is_none()).count();
-        while missing > 0 {
-            let Some((from, msg)) = self.recv_during_round(deadline) else {
-                return false;
-            };
-            if let Message::Vote {
-                height: h,
-                commitment,
-                involved: inv,
-            } = msg
-            {
-                if h == height && from.raw() < self.config.n_servers {
-                    let idx = from.raw() as usize;
-                    if commitments[idx].is_none() {
-                        commitments[idx] = Some(commitment);
-                        involved[idx] = inv;
-                        missing -= 1;
-                    }
-                }
-            }
-        }
-        true
-    }
-
-    fn collect_responses(
-        &mut self,
-        height: u64,
-        responses: &mut [Option<Result<cosi::Response, Refusal>>],
-    ) -> bool {
-        let deadline = Instant::now() + self.config.round_timeout;
-        let mut missing: usize = responses.iter().filter(|r| r.is_none()).count();
-        while missing > 0 {
-            let Some((from, msg)) = self.recv_during_round(deadline) else {
-                return false;
-            };
-            if let Message::Response { height: h, result } = msg {
-                if h == height && from.raw() < self.config.n_servers {
-                    let idx = from.raw() as usize;
-                    if responses[idx].is_none() {
-                        responses[idx] = Some(result);
-                        missing -= 1;
-                    }
-                }
-            }
-        }
-        true
-    }
-
-    fn collect_2pc_votes(&mut self, height: u64, votes: &mut [Option<bool>]) -> bool {
-        let deadline = Instant::now() + self.config.round_timeout;
-        let mut missing: usize = votes.iter().filter(|v| v.is_none()).count();
-        while missing > 0 {
-            let Some((from, msg)) = self.recv_during_round(deadline) else {
-                return false;
-            };
-            if let Message::TwoPcVote {
-                height: h, commit, ..
-            } = msg
-            {
-                if h == height && from.raw() < self.config.n_servers {
-                    let idx = from.raw() as usize;
-                    if votes[idx].is_none() {
-                        votes[idx] = Some(commit);
-                        missing -= 1;
-                    }
-                }
-            }
-        }
-        true
-    }
-
-    /// Receives during a protocol round: execution messages are serviced
-    /// inline, end-transaction requests are queued for the next batch,
-    /// protocol messages are returned to the caller. `None` = deadline
-    /// passed.
-    fn recv_during_round(&mut self, deadline: Instant) -> Option<(NodeId, Message)> {
-        loop {
-            let (from, msg, trace) = match self.next_message(deadline) {
-                Ok(message) => message,
-                Err(_) => return None,
-            };
-            match msg {
-                Message::ReadMany { txn, keys } => self.handle_read_many(from, txn, keys),
-                Message::Write { txn, key, .. } => self.handle_write(from, txn, key),
-                Message::EndTxn { handle, record } => {
-                    self.handle_end_txn(from, handle, record, trace);
-                }
-                Message::EndTxnFwd {
-                    client,
-                    handle,
-                    record,
-                } if self.rotation_on() && from.raw() < self.config.n_servers => {
-                    self.enqueue_end_txn(NodeId::new(client), handle, record, trace);
-                }
-                // Repair-plane service and durability acks are also
-                // handled inline: a mid-round coordinator must neither
-                // starve a repairing peer nor drop quorum votes.
-                Message::RepairQuery { next_height } => {
-                    self.handle_repair_query(from, next_height);
-                }
-                Message::RepairRequest { from: wanted, max } => {
-                    self.handle_repair_request(from, wanted, max);
-                }
-                Message::RepairCheckpointRequest => self.handle_repair_checkpoint_request(from),
-                Message::CheckpointMirror { image } => self.handle_checkpoint_mirror(from, image),
-                Message::MirrorResync => self.handle_mirror_resync(from),
-                Message::Durable { height } => self.handle_durable(from, height),
-                // Snapshot reads are served mid-round too: the read
-                // plane must not stall behind commit traffic.
-                Message::SnapshotRead {
-                    req,
-                    shard,
-                    keys,
-                    min_covered,
-                    at_height,
-                } => self.handle_snapshot_read(from, req, shard, keys, min_covered, at_height),
-                Message::RootQuery { from: from_height } => {
-                    self.handle_root_query(from, from_height);
-                }
-                Message::Flush => {} // already mid-round
-                Message::Shutdown => {
-                    self.running = false;
-                    return None;
-                }
-                other => return Some((from, other)),
-            }
-        }
     }
 
     // ------------------------------------------------------------------
@@ -4038,5 +3298,328 @@ mod tests {
         let w1 = shard_writes(&[txn], &p, 1);
         assert_eq!(w1.len(), 1);
         assert_eq!(w1[0].0, Key::new("b"));
+    }
+
+    const N: u32 = 3;
+    /// Index of the client in [`Harness::parties`]; cohort `s` sits at
+    /// index `s`.
+    const CLIENT: usize = 0;
+    /// Index of the admin in [`Harness::parties`].
+    const ADMIN: usize = N as usize;
+
+    fn item(shard: u32, i: usize) -> Key {
+        Key::new(format!("s{shard}:{i}"))
+    }
+
+    /// A read-modify-write of the leader's item `i`, timestamped `ts`.
+    fn rmw(ts: u64, i: usize) -> TxnRecord {
+        use fides_store::rwset::{ReadEntry, WriteEntry};
+        TxnRecord {
+            id: Timestamp::new(ts, 0),
+            read_set: vec![ReadEntry {
+                key: item(0, i),
+                value: Value::from_i64(0),
+                rts: Timestamp::ZERO,
+                wts: Timestamp::ZERO,
+            }],
+            write_set: vec![WriteEntry {
+                key: item(0, i),
+                new_value: Value::from_i64(1),
+                old_value: None,
+                rts: Timestamp::ZERO,
+                wts: Timestamp::ZERO,
+            }],
+        }
+    }
+
+    /// Server 0 leads batches of one over a zero-latency network; the
+    /// harness plays the client, the admin and cohorts `1..N`, signing
+    /// with the deterministic `fides-server-{i}` keys a cluster uses.
+    struct Harness {
+        _net: fides_net::Network,
+        leader: Option<std::thread::JoinHandle<()>>,
+        state: Arc<ServerState>,
+        parties: Vec<(KeyPair, Endpoint)>,
+        server_pks: Vec<PublicKey>,
+        /// Each cohort's CoSi witness for the round it voted in.
+        witnesses: HashMap<u32, Witness>,
+    }
+
+    impl Harness {
+        fn start() -> Harness {
+            let net = fides_net::Network::new(fides_net::NetworkConfig::default());
+            let key = |seed: String| KeyPair::from_seed(seed.as_bytes());
+            let servers: Vec<KeyPair> = (0..N).map(|i| key(format!("fides-server-{i}"))).collect();
+            let mut parties = vec![(key("fides-client-0".into()), net.register(client_node(0)))];
+            parties.extend((1..N).map(|s| (servers[s as usize], net.register(server_node(s)))));
+            parties.push((key("fides-admin".into()), net.register(admin_node())));
+            let mut directory: HashMap<NodeId, PublicKey> = parties
+                .iter()
+                .map(|(kp, ep)| (ep.node(), kp.public_key()))
+                .collect();
+            directory.insert(server_node(0), servers[0].public_key());
+            let partitioner = Partitioner::from_assignments(
+                N,
+                (0..N).flat_map(|s| (0..4).map(move |i| (item(s, i), s))),
+            );
+            let shard =
+                AuthenticatedShard::new((0..4).map(|i| (item(0, i), Value::from_i64(0))).collect());
+            let config = ServerConfig {
+                idx: 0,
+                n_servers: N,
+                protocol: CommitProtocol::TfCommit,
+                batch_size: 1,
+                flush_interval: Duration::from_millis(5),
+                // Rounds end by votes here, never by the clock.
+                round_timeout: Duration::from_secs(600),
+                repair: true,
+                mirror_checkpoints: true,
+                quorum_acks: false,
+                snapshot_interval: 0,
+                rotate_leaders: false,
+                stall_timeout: Duration::ZERO,
+            };
+            let server_pks: Vec<PublicKey> = servers.iter().map(KeyPair::public_key).collect();
+            let (mut server, state) = Server::new(
+                config,
+                shard,
+                Behavior::default(),
+                net.register(server_node(0)),
+                servers[0],
+                Arc::new(directory),
+                partitioner,
+                server_pks.clone(),
+            );
+            // The image a `MirrorResync` hands back.
+            server.last_mirror = Some(Arc::new(state.with_shard(|shard| {
+                ShardSnapshot::capture(shard, 0, Digest::ZERO, Timestamp::ZERO)
+            })));
+            Harness {
+                _net: net,
+                leader: Some(std::thread::spawn(move || server.run())),
+                state,
+                parties,
+                server_pks,
+                witnesses: HashMap::new(),
+            }
+        }
+
+        fn send(&self, party: usize, msg: Message) {
+            let (kp, ep) = &self.parties[party];
+            ep.send(Envelope::sign(kp, ep.node(), server_node(0), msg.encode()));
+        }
+
+        /// The next message `party` receives that `pick` accepts,
+        /// skipping any other.
+        fn expect<T>(
+            &self,
+            party: usize,
+            what: &str,
+            mut pick: impl FnMut(Message) -> Option<T>,
+        ) -> T {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            loop {
+                let wait = deadline.saturating_duration_since(Instant::now());
+                let env = self.parties[party]
+                    .1
+                    .recv_timeout(wait)
+                    .unwrap_or_else(|_| panic!("party {party} never got {what}"));
+                if let Some(found) = Message::decode(&env.payload).ok().and_then(&mut pick) {
+                    return found;
+                }
+            }
+        }
+
+        fn end_txn(&self, ts: u64, i: usize) {
+            let handle = TxnHandle { client: 0, seq: ts };
+            let record = rmw(ts, i);
+            self.send(CLIENT, Message::EndTxn { handle, record });
+        }
+
+        /// Cohort `s` receives the next `GetVote` and returns it with
+        /// the vote it would cast (for the caller to send or withhold).
+        fn vote(&mut self, s: u32) -> (PartialBlock, Message) {
+            let partial = self.expect(s as usize, "GetVote", |m| match m {
+                Message::GetVote { partial } => Some(partial),
+                _ => None,
+            });
+            let mut round_id = partial.height.to_be_bytes().to_vec();
+            round_id.extend_from_slice(partial.prev_hash.as_bytes());
+            let witness =
+                Witness::commit(&self.parties[s as usize].0, &round_id, &partial.encode());
+            let vote = Message::Vote {
+                height: partial.height,
+                commitment: witness.commitment(),
+                involved: None,
+            };
+            self.witnesses.insert(s, witness);
+            (partial, vote)
+        }
+
+        /// Every cohort answers the challenge; returns the decided block.
+        fn finish_round(&mut self) -> Block {
+            for s in 1..N {
+                let (height, challenge) = self.expect(s as usize, "Challenge", |m| match m {
+                    Message::Challenge {
+                        block, challenge, ..
+                    } => Some((block.height, challenge)),
+                    _ => None,
+                });
+                let witness = self.witnesses.remove(&s).expect("voted");
+                let result = Ok(witness.respond(&challenge));
+                self.send(s as usize, Message::Response { height, result });
+            }
+            let decided: Vec<Block> = (1..N)
+                .map(|s| {
+                    self.expect(s as usize, "Decision", |m| match m {
+                        Message::Decision { block } => Some(block),
+                        _ => None,
+                    })
+                })
+                .collect();
+            let block = decided[0].clone();
+            assert!(block
+                .cosign
+                .verify(&block.signing_bytes(), &self.server_pks));
+            block
+        }
+
+        /// Shuts the leader down and joins its thread.
+        fn stop(&mut self) -> std::thread::Result<()> {
+            let Some(leader) = self.leader.take() else {
+                return Ok(());
+            };
+            self.send(ADMIN, Message::Shutdown);
+            leader.join()
+        }
+    }
+
+    impl Drop for Harness {
+        fn drop(&mut self) {
+            let _ = self.stop();
+        }
+    }
+
+    /// A shutdown that reaches the leader mid-round stops it; the round
+    /// does not time out: no counter, no timeout event, no rejections.
+    #[test]
+    fn shutdown_during_a_round_is_not_a_round_timeout() {
+        let mut h = Harness::start();
+        h.end_txn(1, 0);
+        let (_, vote) = h.vote(1);
+        h.send(1, vote);
+        let _withheld = h.vote(2);
+        h.stop().expect("leader thread");
+        assert_eq!(h.state.metrics().counter("commit.round.timeouts"), 0);
+        let events = h.state.events();
+        assert!(
+            !events.iter().any(|e| e.message.contains("timed out")),
+            "{events:?}"
+        );
+        while let Some(env) = h.parties[CLIENT].1.try_recv() {
+            let msg = Message::decode(&env.payload).expect("decodes");
+            assert!(!matches!(msg, Message::EndTxnRejected { .. }), "{msg:?}");
+        }
+    }
+
+    /// While a cohort withholds its vote the leader's round stays open,
+    /// and every message kind still gets its handler: each request is
+    /// answered before the round ends, an end-transaction joins the next
+    /// batch, a peer's `RepairInfo` starts a repair, and the withheld
+    /// vote then completes the round.
+    #[test]
+    fn no_message_is_lost_while_a_round_is_open() {
+        let mut h = Harness::start();
+        h.end_txn(1, 0);
+        let (_, vote) = h.vote(1);
+        h.send(1, vote);
+        let (_, withheld) = h.vote(2);
+
+        let txn = TxnHandle { client: 0, seq: 99 };
+        type Reply = fn(&Message) -> bool;
+        let requests: [(usize, Message, Reply); 8] = [
+            (
+                CLIENT,
+                Message::ReadMany {
+                    txn,
+                    keys: vec![item(0, 1)],
+                },
+                |m| matches!(m, Message::ReadManyResp { .. }),
+            ),
+            (
+                CLIENT,
+                Message::Write {
+                    txn,
+                    key: item(0, 1),
+                    value: Value::from_i64(7),
+                },
+                |m| matches!(m, Message::WriteAck { .. }),
+            ),
+            (
+                CLIENT,
+                Message::SnapshotRead {
+                    req: 1,
+                    shard: 0,
+                    keys: vec![item(0, 1)],
+                    min_covered: 0,
+                    at_height: None,
+                },
+                |m| matches!(m, Message::SnapshotReadResp { .. }),
+            ),
+            (CLIENT, Message::RootQuery { from: 0 }, |m| {
+                matches!(m, Message::RootAnnounce { .. })
+            }),
+            (1, Message::RepairQuery { next_height: 0 }, |m| {
+                matches!(m, Message::RepairInfo { .. })
+            }),
+            (1, Message::RepairRequest { from: 0, max: 8 }, |m| {
+                matches!(m, Message::RepairBlocks { .. })
+            }),
+            (1, Message::RepairCheckpointRequest, |m| {
+                matches!(m, Message::RepairCheckpoint { snapshot: None })
+            }),
+            (1, Message::MirrorResync, |m| {
+                matches!(m, Message::CheckpointMirror { .. })
+            }),
+        ];
+        for (party, request, reply) in requests {
+            let what = format!("a reply to {request:?}");
+            h.send(party, request);
+            h.expect(party, &what, |m| reply(&m).then_some(()));
+        }
+        // Kinds with nothing to answer mid-round.
+        h.send(ADMIN, Message::Flush);
+        h.send(1, Message::Durable { height: 0 });
+        h.end_txn(2, 1);
+
+        // The withheld vote completes the round...
+        h.send(2, withheld);
+        let block = h.finish_round();
+        assert_eq!((block.height, block.decision), (0, Decision::Commit));
+        // ...and the queued end-transaction forms the next batch.
+        let (partial, vote) = h.vote(1);
+        assert_eq!(partial.height, 1);
+        assert_eq!(partial.txns, vec![rmw(2, 1)]);
+        h.send(1, vote);
+        let (_, withheld) = h.vote(2);
+
+        // A peer claiming a longer chain starts a repair mid-round.
+        h.send(
+            1,
+            Message::RepairInfo {
+                next_height: 40,
+                tip_hash: Digest::ZERO,
+                base_height: 0,
+                mirror_height: None,
+            },
+        );
+        h.expect(1, "RepairRequest", |m| match m {
+            Message::RepairRequest { from: 1, .. } => Some(()),
+            _ => None,
+        });
+        h.send(2, withheld);
+        assert_eq!(h.finish_round().height, 1);
+        h.stop().expect("leader thread");
+        assert_eq!(h.state.metrics().counter("commit.round.timeouts"), 0);
     }
 }

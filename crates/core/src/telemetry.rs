@@ -12,7 +12,7 @@
 //! `docs/telemetry.md` for the full taxonomy):
 //!
 //! * `commit.*` — coordinator/cohort round accounting and the six
-//!   per-stage latency histograms ([`Stage`]),
+//!   per-stage latency histograms ([`fides_telemetry::Stage`]),
 //! * `durability.*` — group-commit pipeline depth, fsync latency and
 //!   batch sizes,
 //! * `read.*` — verified-read serving and refusals,

@@ -7,6 +7,10 @@
 //!   byte-identical co-signed chain (the leader's identity never leaks
 //!   into the signed bytes; the deterministic CoSi nonces and the
 //!   canonical block encoding are leader-agnostic).
+//! * Pinned chain bytes — the fixed-leader chain of that workload, under
+//!   TFCommit and under the §6.1 2PC baseline, hashes to a recorded
+//!   SHA-256: a change to how the leader drives its round that moves a
+//!   single encoded byte fails here.
 //! * Speculative-OCC safety — with rounds overlapped across rotating
 //!   leaders, no committed transaction ever read a stale version:
 //!   replaying the committed chain in height order, every read's `wts`
@@ -19,6 +23,7 @@ use fides_core::client::finalize_outcomes;
 use fides_core::messages::CommitProtocol;
 use fides_core::system::{ClusterConfig, FidesCluster};
 use fides_crypto::encoding::Encodable;
+use fides_crypto::sha256::Sha256;
 use fides_ledger::block::{Block, Decision};
 use fides_store::{Key, Timestamp};
 
@@ -26,9 +31,13 @@ const N_SERVERS: u32 = 4;
 const ITEMS_PER_SHARD: usize = 64;
 
 fn config(rotate: bool) -> ClusterConfig {
+    config_for(CommitProtocol::TfCommit, rotate)
+}
+
+fn config_for(protocol: CommitProtocol, rotate: bool) -> ClusterConfig {
     ClusterConfig::new(N_SERVERS)
         .items_per_shard(ITEMS_PER_SHARD)
-        .protocol(CommitProtocol::TfCommit)
+        .protocol(protocol)
         .rotate_leaders(rotate)
         .batch_size(1)
         .max_clients(8)
@@ -58,6 +67,44 @@ fn run_sequential_workload(cluster: &FidesCluster) -> Vec<Block> {
         .expect("logs converge");
     assert!(cluster.audit().is_clean());
     cluster.server_state(0).log().blocks().to_vec()
+}
+
+/// SHA-256 over the concatenated encodings of `blocks`, as hex.
+fn chain_digest(blocks: &[Block]) -> String {
+    let encoded: Vec<Vec<u8>> = blocks.iter().map(Encodable::encode).collect();
+    let parts: Vec<&[u8]> = encoded.iter().map(Vec::as_slice).collect();
+    Sha256::digest_parts(&parts).to_hex()
+}
+
+/// The fixed leader's chain for the sequential workload is pinned byte
+/// for byte, under TFCommit and under 2PC: a change to how the leader
+/// drives its round must not move a single byte of either chain.
+#[test]
+fn fixed_leader_chains_match_pinned_digests() {
+    for (protocol, pinned) in [
+        (
+            CommitProtocol::TfCommit,
+            "89e3b0be4f76579af375161dc8e04fb7f361deaf8e5fd0939e0dfc12b1486e33",
+        ),
+        (
+            CommitProtocol::TwoPhaseCommit,
+            "6323eb423048c57a895cf5cb9d642600cf47cc118c46957eafd68c45b09719f7",
+        ),
+    ] {
+        let cluster = FidesCluster::start(config_for(protocol, false));
+        let blocks = run_sequential_workload(&cluster);
+        cluster.shutdown();
+        assert_eq!(
+            blocks.len(),
+            3 * N_SERVERS as usize,
+            "{protocol}: one block per txn"
+        );
+        assert_eq!(
+            chain_digest(&blocks),
+            pinned,
+            "{protocol}: chain bytes changed"
+        );
+    }
 }
 
 /// The tentpole's differential guarantee: rotation changes the leader

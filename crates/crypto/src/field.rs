@@ -2,8 +2,8 @@
 //! `F_p`, `p = 2^256 − 2^32 − 977`.
 //!
 //! [`FieldElement`] values are always fully reduced. The implementation
-//! uses 4×64-bit limbs with post-multiplication folding (see
-//! [`crate::arith`]).
+//! uses 4×64-bit limbs with post-multiplication folding (see the
+//! crate's private `arith` module).
 
 use core::cmp::Ordering;
 use core::fmt;
@@ -97,8 +97,8 @@ impl FieldElement {
     }
 
     /// Multiplicative inverse via the safegcd (Bernstein–Yang) divstep
-    /// algorithm ([`crate::safegcd`]); ~7× faster than the Fermat
-    /// ladder. Returns `None` for zero.
+    /// algorithm (the private `safegcd` module); ~7× faster than the
+    /// Fermat ladder. Returns `None` for zero.
     pub fn invert(&self) -> Option<Self> {
         if self.is_zero() {
             return None;

@@ -288,7 +288,7 @@ impl Point {
     }
 
     /// The curve endomorphism `φ(x, y) = (β·x, y)`, which equals
-    /// multiplication by `λ` ([`crate::scalar::LAMBDA`]) at the cost of
+    /// multiplication by `λ` (`scalar::LAMBDA`) at the cost of
     /// a single field multiplication. In Jacobian coordinates scaling
     /// `X` scales the affine `x = X/Z²` identically.
     pub fn endomorphism(&self) -> Point {

@@ -120,7 +120,7 @@ impl Scalar {
     }
 
     /// Multiplicative inverse via the safegcd divstep algorithm
-    /// ([`crate::safegcd`]); `None` for zero.
+    /// (the private `safegcd` module); `None` for zero.
     pub fn invert(&self) -> Option<Self> {
         if self.is_zero() {
             return None;

@@ -10,17 +10,14 @@
 //!   encoding of sender, receiver and payload),
 //! * [`transport`] — a threaded [`Network`] of crossbeam channels with a
 //!   delivery scheduler that injects configurable per-message latency,
-//!   random drops and partitions,
-//! * [`sim`] — a deterministic virtual-time event queue for
-//!   single-threaded protocol simulations.
+//!   random drops and partitions.
 //!
 //! The latency model is the reproduction's substitute for the paper's
 //! EC2 testbed: protocol *computation* (signatures, Merkle updates) runs
-//! for real; only the wire is simulated. See `DESIGN.md` §2.
+//! for real; only the wire is simulated.
 
 pub mod message;
 pub mod node;
-pub mod sim;
 pub mod transport;
 
 pub use message::{verify_envelopes, Envelope};
