@@ -24,7 +24,7 @@ use fides_store::types::{Key, Timestamp, Value};
 use fides_telemetry::trace::{now_ns, CLIENT_TAG_BASE};
 use fides_telemetry::{Sampler, Span, SpanSink, TraceContext};
 
-use crate::messages::{CommitProtocol, Message, ReadRefusal, TxnHandle};
+use crate::messages::{CommitProtocol, Message, ReadPart, ReadRefusal, TxnHandle};
 use crate::partition::Partitioner;
 use crate::server::{client_node, server_node, Directory};
 
@@ -348,6 +348,29 @@ struct ReadContext {
     no_mirror: std::collections::HashMap<(u32, u32), Instant>,
 }
 
+impl ReadContext {
+    /// Starts the next rotation over `n` servers: returns its first
+    /// server, advances the cursor and expires old `NoSnapshot` entries.
+    fn next_rotation(&mut self, n: u32) -> u32 {
+        let start = self.next_target;
+        self.next_target = (start + 1) % n;
+        let now = Instant::now();
+        self.no_mirror
+            .retain(|_, refused_at| now.duration_since(*refused_at) < NO_MIRROR_TTL);
+        start
+    }
+
+    /// The servers that may serve `shard`, in rotation order from
+    /// `start`, skipping peers that recently answered `NoSnapshot` for
+    /// it. The owner is never skipped, so a mirror-less cluster
+    /// degrades to straight owner reads.
+    fn eligible(&self, shard: u32, start: u32, n: u32) -> impl Iterator<Item = u32> + '_ {
+        (0..n)
+            .map(move |i| (start + i) % n)
+            .filter(move |s| *s == shard || !self.no_mirror.contains_key(&(*s, shard)))
+    }
+}
+
 /// How long a `NoSnapshot` refusal keeps a `(server, shard)` pair out
 /// of the read rotation (mirrors appear at checkpoint cadence, so a
 /// short TTL re-probes soon enough).
@@ -655,12 +678,13 @@ impl ClientSession {
         );
         let handle = txn.handle;
         let want_key = key.clone();
-        let old = self.wait_for("write ack", move |_, msg| match msg {
+        let want_from = server_node(server);
+        let old = self.wait_for("write ack", move |from, msg| match msg {
             Message::WriteAck {
                 txn: t,
                 key: k,
                 old,
-            } if t == handle && k == want_key => Ok(old),
+            } if t == handle && k == want_key && from == want_from => Ok(old),
             other => Err(Box::new(other)),
         })?;
 
@@ -781,8 +805,12 @@ impl ClientSession {
     /// Receives until at least one authenticated message is available,
     /// draining the transport in bursts whose signatures are verified
     /// with **one** batched check
-    /// ([`fides_net::Endpoint::recv_verified_burst`]).
-    fn recv_auth_burst(&mut self, deadline: Instant) -> Result<Vec<Message>, ClientError> {
+    /// ([`fides_net::Endpoint::recv_verified_burst`]). Each message
+    /// comes with the node that signed it.
+    fn recv_auth_burst(
+        &mut self,
+        deadline: Instant,
+    ) -> Result<Vec<(NodeId, Message)>, ClientError> {
         const MAX_BURST: usize = 32;
         loop {
             let burst =
@@ -798,9 +826,9 @@ impl ClientSession {
                         return Err(ClientError::Disconnected)
                     }
                 };
-            let messages: Vec<Message> = burst
+            let messages: Vec<(NodeId, Message)> = burst
                 .iter()
-                .filter_map(|env| Message::decode(&env.payload).ok())
+                .filter_map(|env| Some((env.from, Message::decode(&env.payload).ok()?)))
                 .collect();
             if !messages.is_empty() {
                 return Ok(messages);
@@ -843,11 +871,15 @@ impl ClientSession {
         let mut entries: HashMap<Key, ReadEntry> = HashMap::new();
         let deadline = Instant::now() + self.op_timeout;
         while entries.len() < wanted.len() {
-            for msg in self.recv_auth_burst(deadline)? {
+            for (from, msg) in self.recv_auth_burst(deadline)? {
                 match msg {
                     Message::ReadManyResp { txn: t, items } if t == txn.handle => {
                         for (key, state) in items {
-                            if !wanted.contains(&key) {
+                            // Only the key's owner answers for it: an
+                            // item another server planted is dropped.
+                            if !wanted.contains(&key)
+                                || from != server_node(self.partitioner.owner(&key))
+                            {
                                 continue;
                             }
                             let Some((value, rts, wts)) = state else {
@@ -944,10 +976,12 @@ impl ClientSession {
         let mut acks: HashMap<Key, OldState> = HashMap::new();
         let deadline = Instant::now() + self.op_timeout;
         while acks.len() < wanted.len() {
-            for msg in self.recv_auth_burst(deadline)? {
+            for (from, msg) in self.recv_auth_burst(deadline)? {
                 match msg {
                     Message::WriteAck { txn: t, key, old }
-                        if t == txn.handle && wanted.contains(&key) =>
+                        if t == txn.handle
+                            && wanted.contains(&key)
+                            && from == server_node(self.partitioner.owner(&key)) =>
                     {
                         acks.entry(key).or_insert(old);
                     }
@@ -1043,9 +1077,9 @@ impl ClientSession {
                     break;
                 }
                 match self.recv_auth_burst(deadline) {
-                    Ok(mut messages) => {
-                        messages.reverse(); // pop() restores arrival order
-                        queue = messages;
+                    Ok(messages) => {
+                        // Reversed: pop() restores arrival order.
+                        queue = messages.into_iter().rev().map(|(_, msg)| msg).collect();
                         continue;
                     }
                     Err(_) => break,
@@ -1150,18 +1184,23 @@ impl ClientSession {
     }
 
     // ------------------------------------------------------------------
-    // The verified read plane (see `docs/reads.md`): read-only
-    // transactions that hit one server per shard, verify every value
-    // (and every absence) against a cached co-signed root, and never
-    // enter a commit round.
+    // The verified read plane (see `docs/reads.md`): a read-only
+    // transaction is one request to one server, which answers every
+    // shard it touches; the client verifies every value (and every
+    // absence) against a cached co-signed root, and the read never
+    // enters a commit round.
     // ------------------------------------------------------------------
 
     /// Reads `keys` without a commit round, proof-verifying every
     /// value (and absence) client-side. Keys are grouped per owning
-    /// shard; each group is served by one server — the owner for
-    /// [`ReadConsistency::Fresh`], any server (load-balanced across
-    /// owners **and** checkpoint-mirror holders, with owner fallback)
-    /// for bounded-staleness and pinned reads. Returns values in input
+    /// shard. For [`ReadConsistency::Fresh`] each group goes to its
+    /// owner, one request per owner. For bounded-staleness and pinned
+    /// reads one server, picked round-robin across owners **and**
+    /// checkpoint-mirror holders, answers every group in one request
+    /// and one signed response; a group whose shard that server
+    /// recently had no mirror of goes to the next server in the
+    /// rotation instead. Groups that are refused, refuted or unanswered
+    /// retry per shard, with owner fallback. Returns values in input
     /// order; `None` = proven absent.
     ///
     /// A server answering with a forged value, a forged absence, or a
@@ -1182,20 +1221,17 @@ impl ClientSession {
         if self.read.is_none() {
             return Err(ClientError::NoReadContext);
         }
-        let mut per_shard: HashMap<u32, Vec<Key>> = HashMap::new();
+        let mut groups: Vec<(u32, Vec<Key>)> = Vec::new();
         for key in keys {
-            let group = per_shard.entry(self.partitioner.owner(key)).or_default();
-            if !group.contains(key) {
-                group.push(key.clone());
+            let shard = self.partitioner.owner(key);
+            match groups.iter_mut().find(|(s, _)| *s == shard) {
+                Some((_, group)) if group.contains(key) => {}
+                Some((_, group)) => group.push(key.clone()),
+                None => groups.push((shard, vec![key.clone()])),
             }
         }
-        let groups: Vec<(u32, Vec<Key>)> = per_shard.into_iter().collect();
         let mut resolved: HashMap<Key, Option<Value>> = HashMap::new();
-        // Fast path: every shard's request goes out at once (one round
-        // of waiting for the whole read set); shards whose fast attempt
-        // fails fall back to the robust per-shard retry loop.
-        let fallback = self.read_shards_parallel(&groups, consistency, &mut resolved)?;
-        for idx in fallback {
+        for idx in self.read_groups(&groups, consistency, &mut resolved)? {
             let (shard, group) = &groups[idx];
             let verified = self.read_shard(*shard, group, consistency)?;
             for (key, value) in group.iter().zip(verified.values) {
@@ -1208,159 +1244,156 @@ impl ClientSession {
             .collect())
     }
 
-    /// One parallel fan-out attempt: a single `SnapshotRead` per shard
-    /// group, all outstanding at once. Successes land in `resolved`;
-    /// the returned indices need the sequential fallback.
-    fn read_shards_parallel(
+    /// The fast path of [`ClientSession::read_only`]: one
+    /// `SnapshotRead` per planned target, carrying every group planned
+    /// for it, all outstanding at once. Verified groups land in
+    /// `resolved`; the returned indices need the per-shard fallback.
+    fn read_groups(
         &mut self,
         groups: &[(u32, Vec<Key>)],
         consistency: ReadConsistency,
         resolved: &mut std::collections::HashMap<Key, Option<Value>>,
     ) -> Result<Vec<usize>, ClientError> {
-        use fides_ledger::block::BlockHeader;
-        use fides_store::ShardReadProof;
         let n = self.partitioner.n_servers();
-        // req id → (group index, target, min_covered).
-        let mut outstanding: std::collections::HashMap<u64, (usize, u32, u64)> =
-            std::collections::HashMap::new();
-        for (idx, (shard, group)) in groups.iter().enumerate() {
-            let ctx = self.read.as_mut().expect("checked by caller");
+        let ctx = self.read.as_mut().expect("checked by caller");
+        let start = ctx.next_rotation(n);
+        // (target, its group indices).
+        let mut plan: Vec<(u32, Vec<usize>)> = Vec::new();
+        for (idx, (shard, _)) in groups.iter().enumerate() {
             let target = match consistency {
                 ReadConsistency::Fresh => *shard,
-                _ => {
-                    let start = ctx.next_target;
-                    ctx.next_target = (ctx.next_target + 1) % n;
-                    let now = Instant::now();
-                    ctx.no_mirror
-                        .retain(|_, at| now.duration_since(*at) < NO_MIRROR_TTL);
-                    (0..n)
-                        .map(|i| (start + i) % n)
-                        .find(|s| *s == *shard || !ctx.no_mirror.contains_key(&(*s, *shard)))
-                        .unwrap_or(*shard)
-                }
+                _ => ctx.eligible(*shard, start, n).next().unwrap_or(*shard),
             };
-            let req = ctx.req_seq;
-            ctx.req_seq += 1;
-            let min_covered = consistency.min_covered(ctx.registry.known_tip());
-            let at_height = match consistency {
-                ReadConsistency::AtHeight(h) => Some(h),
-                _ => None,
-            };
-            outstanding.insert(req, (idx, target, min_covered));
-            self.send_to(
-                target,
-                &Message::SnapshotRead {
-                    req,
-                    shard: *shard,
-                    keys: group.clone(),
-                    min_covered,
-                    at_height,
-                },
-            );
+            match plan.iter_mut().find(|(t, _)| *t == target) {
+                Some((_, idxs)) => idxs.push(idx),
+                None => plan.push((target, vec![idx])),
+            }
         }
+        let (min_covered, pinned) = self.read_bounds(consistency);
+        // (request id, target, its group indices).
+        let mut outstanding: Vec<(u64, u32, Vec<usize>)> = plan
+            .into_iter()
+            .map(|(target, idxs)| {
+                let parts = idxs.iter().map(|&i| groups[i].clone()).collect();
+                let req = self.send_read(target, parts, min_covered, pinned);
+                (req, target, idxs)
+            })
+            .collect();
         let deadline = Instant::now() + self.op_timeout;
         let mut fallback: Vec<usize> = Vec::new();
         while !outstanding.is_empty() {
-            type Parts = (u64, u64, Option<Box<BlockHeader>>, Box<ShardReadProof>);
-            enum Reply {
-                Resp(u64, Parts),
-                Refused(u64, ReadRefusal),
-            }
-            let reqs: Vec<u64> = outstanding.keys().copied().collect();
-            let reply = self.wait_for_until("snapshot reads", deadline, |_, msg| match msg {
-                Message::SnapshotReadResp {
-                    req,
-                    root_height,
-                    covered_height,
-                    header,
-                    proof,
-                    ..
-                } if reqs.contains(&req) => Ok(Reply::Resp(
-                    req,
-                    (root_height, covered_height, header, proof),
-                )),
-                Message::SnapshotReadRefused { req, reason } if reqs.contains(&req) => {
-                    Ok(Reply::Refused(req, reason))
+            // Only the asked server's response counts: another server
+            // answering a request id first is dropped, never taken for
+            // (or blamed on) the target.
+            let asked: Vec<(u64, NodeId)> = outstanding
+                .iter()
+                .map(|(req, target, _)| (*req, server_node(*target)))
+                .collect();
+            let reply = self.wait_for_until("snapshot reads", deadline, |from, msg| match msg {
+                Message::SnapshotReadResp { req, parts } if asked.contains(&(req, from)) => {
+                    Ok((req, parts))
                 }
                 other => Err(Box::new(other)),
             });
-            let reply = match reply {
+            let (req, parts) = match reply {
                 Ok(reply) => reply,
                 Err(ClientError::Timeout(_)) => break,
                 Err(e) => return Err(e),
             };
-            match reply {
-                Reply::Refused(req, reason) => {
-                    let (idx, target, _) = outstanding.remove(&req).expect("outstanding");
-                    if matches!(reason, ReadRefusal::NoSnapshot) {
-                        let ctx = self.read.as_mut().expect("checked by caller");
-                        ctx.no_mirror
-                            .insert((target, groups[idx].0), Instant::now());
-                    }
-                    fallback.push(idx);
-                }
-                Reply::Resp(req, (root_height, covered, header, proof)) => {
-                    let (idx, target, min_covered) = outstanding.remove(&req).expect("outstanding");
-                    let (shard, group) = &groups[idx];
-                    let pinned = match consistency {
-                        ReadConsistency::AtHeight(h) => Some(h),
-                        _ => None,
-                    };
-                    match self.classify_response(
-                        target,
-                        *shard,
-                        group,
-                        min_covered,
-                        pinned,
-                        root_height,
-                        covered,
-                        header.as_deref(),
-                        &proof,
-                    ) {
-                        Ok(verified) => {
-                            for (key, value) in group.iter().zip(verified.values) {
-                                resolved.insert(key.clone(), value);
-                            }
+            let at = outstanding
+                .iter()
+                .position(|(r, ..)| *r == req)
+                .expect("outstanding");
+            let (_, target, idxs) = outstanding.swap_remove(at);
+            for idx in idxs {
+                let (shard, group) = &groups[idx];
+                let attempt = parts
+                    .iter()
+                    .find(|part| part.shard == *shard)
+                    .map(|part| self.check_part(target, group, min_covered, pinned, part));
+                match attempt {
+                    Some(ReadAttempt::Ok(verified)) => {
+                        for (key, value) in group.iter().zip(verified.values) {
+                            resolved.insert(key.clone(), value);
                         }
-                        Err(_) => fallback.push(idx),
                     }
+                    _ => fallback.push(idx),
                 }
             }
         }
         // Anything still outstanding timed out: fall back.
-        for (_, (idx, _, _)) in outstanding {
-            fallback.push(idx);
-        }
+        fallback.extend(outstanding.into_iter().flat_map(|(_, _, idxs)| idxs));
         Ok(fallback)
     }
 
-    /// Verifies one response's parts, updating stats and filing
-    /// evidence on evidence-grade faults — shared by the sequential and
-    /// parallel read paths.
-    #[allow(clippy::too_many_arguments)]
-    fn classify_response(
+    /// The coverage a read under `consistency` demands given this
+    /// client's known tip, and its pinned height.
+    fn read_bounds(&self, consistency: ReadConsistency) -> (u64, Option<u64>) {
+        let pinned = match consistency {
+            ReadConsistency::AtHeight(h) => Some(h),
+            _ => None,
+        };
+        (consistency.min_covered(self.known_tip()), pinned)
+    }
+
+    /// Signs and sends one `SnapshotRead` of `parts` to `target`;
+    /// returns its request id.
+    fn send_read(
         &mut self,
         target: u32,
-        shard: u32,
+        parts: Vec<(u32, Vec<Key>)>,
+        min_covered: u64,
+        at_height: Option<u64>,
+    ) -> u64 {
+        let ctx = self.read.as_mut().expect("checked by caller");
+        let req = ctx.req_seq;
+        ctx.req_seq += 1;
+        self.send_to(
+            target,
+            &Message::SnapshotRead {
+                req,
+                parts,
+                min_covered,
+                at_height,
+            },
+        );
+        req
+    }
+
+    /// Checks one part `target` answered for `keys`: counts a refusal
+    /// (and remembers a missing mirror), or verifies the proofs,
+    /// updating stats and filing evidence against `target` on an
+    /// evidence-grade fault.
+    fn check_part(
+        &mut self,
+        target: u32,
         keys: &[Key],
         min_covered: u64,
         pinned: Option<u64>,
-        root_height: u64,
-        covered: u64,
-        header: Option<&fides_ledger::block::BlockHeader>,
-        proof: &fides_store::ShardReadProof,
-    ) -> Result<VerifiedRead, ReadFault> {
+        part: &ReadPart,
+    ) -> ReadAttempt {
+        let shard = part.shard;
         let ctx = self.read.as_mut().expect("read context exists");
+        let served = match &part.result {
+            Ok(served) => served,
+            Err(reason) => {
+                ctx.stats.refusals += 1;
+                if matches!(reason, ReadRefusal::NoSnapshot) {
+                    ctx.no_mirror.insert((target, shard), Instant::now());
+                }
+                return ReadAttempt::Refused(*reason);
+            }
+        };
         let t0 = Instant::now();
         let result = verify_read(
             &mut ctx.registry,
             &ReadResponse {
                 server: target,
                 shard,
-                root_height,
-                covered_height: covered,
-                header,
-                proof,
+                root_height: served.root_height,
+                covered_height: served.covered_height,
+                header: served.header.as_deref(),
+                proof: &served.proof,
             },
             keys,
             min_covered,
@@ -1372,7 +1405,7 @@ impl ClientSession {
                 ctx.stats.reads += 1;
                 ctx.stats.keys_read += keys.len() as u64;
                 ctx.stats.staleness.record(verified.staleness);
-                Ok(verified)
+                ReadAttempt::Ok(verified)
             }
             Err(fault) => {
                 if fault.is_evidence() {
@@ -1389,13 +1422,13 @@ impl ClientSession {
                         sink.push(evidence);
                     }
                 }
-                Err(fault)
+                ReadAttempt::Refuted(fault)
             }
         }
     }
 
     /// One shard's read: candidate servers tried round-robin (owner
-    /// first under `Fresh`), cycling until success or the op-timeout.
+    /// only under `Fresh`), cycling until success or the op-timeout.
     fn read_shard(
         &mut self,
         shard: u32,
@@ -1409,19 +1442,8 @@ impl ClientSession {
             ReadConsistency::Fresh => vec![shard],
             _ => {
                 let ctx = self.read.as_mut().expect("checked by caller");
-                let start = ctx.next_target;
-                ctx.next_target = (ctx.next_target + 1) % n;
-                let now = Instant::now();
-                ctx.no_mirror
-                    .retain(|_, refused_at| now.duration_since(*refused_at) < NO_MIRROR_TTL);
-                // Rotate through every server, skipping peers that
-                // recently answered `NoSnapshot` for this shard; the
-                // owner is always in the rotation, so a mirror-less
-                // cluster degrades to straight owner reads.
-                (0..n)
-                    .map(|i| (start + i) % n)
-                    .filter(|s| *s == shard || !ctx.no_mirror.contains_key(&(*s, shard)))
-                    .collect()
+                let start = ctx.next_rotation(n);
+                ctx.eligible(shard, start, n).collect()
             }
         };
         let deadline = Instant::now() + self.op_timeout;
@@ -1440,12 +1462,7 @@ impl ClientSession {
                 match self.try_read_from(target, shard, keys, consistency, deadline)? {
                     ReadAttempt::Ok(verified) => return Ok(verified),
                     ReadAttempt::Refused(reason) => {
-                        if matches!(reason, ReadRefusal::NoSnapshot) {
-                            let ctx = self.read.as_mut().expect("checked by caller");
-                            ctx.no_mirror.insert((target, shard), Instant::now());
-                        } else {
-                            transient = true;
-                        }
+                        transient |= !matches!(reason, ReadRefusal::NoSnapshot);
                         last_refusal = Some(reason);
                     }
                     ReadAttempt::Refuted(fault) => last_fault = Some(fault),
@@ -1465,9 +1482,9 @@ impl ClientSession {
     }
 
     /// A single verified read against a specific server, **no**
-    /// fallback — the building block of [`ClientSession::read_only`]
-    /// and the direct hook tests/benches use to target mirrors or
-    /// Byzantine servers. All keys must belong to one shard.
+    /// fallback — the building block of the per-shard fallback and the
+    /// direct hook tests/benches use to target mirrors or Byzantine
+    /// servers. All keys must belong to one shard.
     ///
     /// # Errors
     ///
@@ -1497,9 +1514,9 @@ impl ClientSession {
         }
     }
 
-    /// Sends one `SnapshotRead` and classifies the outcome. On an
-    /// unknown-root response the registry is refreshed (one
-    /// `RootQuery`) and the read retried once.
+    /// Sends one single-shard `SnapshotRead` and classifies the
+    /// outcome. On an unknown-root response the registry is refreshed
+    /// (one `RootQuery`) and the read retried once.
     fn try_read_from(
         &mut self,
         target: u32,
@@ -1508,99 +1525,36 @@ impl ClientSession {
         consistency: ReadConsistency,
         deadline: Instant,
     ) -> Result<ReadAttempt, ClientError> {
-        use fides_ledger::block::BlockHeader;
-        use fides_store::ShardReadProof;
         let mut refreshed = false;
         loop {
-            let ctx = self.read.as_mut().expect("checked by caller");
-            let req = ctx.req_seq;
-            ctx.req_seq += 1;
-            let min_covered = consistency.min_covered(ctx.registry.known_tip());
-            let at_height = match consistency {
-                ReadConsistency::AtHeight(h) => Some(h),
-                _ => None,
-            };
-            self.send_to(
-                target,
-                &Message::SnapshotRead {
-                    req,
-                    shard,
-                    keys: keys.to_vec(),
-                    min_covered,
-                    at_height,
-                },
-            );
-            enum Reply {
-                Resp {
-                    root_height: u64,
-                    covered: u64,
-                    header: Option<Box<BlockHeader>>,
-                    proof: Box<ShardReadProof>,
-                },
-                Refused(ReadRefusal),
-            }
+            let (min_covered, pinned) = self.read_bounds(consistency);
+            let req = self.send_read(target, vec![(shard, keys.to_vec())], min_covered, pinned);
             let want_from = server_node(target);
             let reply =
                 self.wait_for_until("snapshot read", deadline, move |from, msg| match msg {
-                    Message::SnapshotReadResp {
-                        req: r,
-                        shard: s,
-                        root_height,
-                        covered_height,
-                        header,
-                        proof,
-                        ..
-                    } if r == req && s == shard && from == want_from => Ok(Reply::Resp {
-                        root_height,
-                        covered: covered_height,
-                        header,
-                        proof,
-                    }),
-                    Message::SnapshotReadRefused { req: r, reason }
-                        if r == req && from == want_from =>
+                    Message::SnapshotReadResp { req: r, parts }
+                        if r == req
+                            && from == want_from
+                            && parts.iter().any(|part| part.shard == shard) =>
                     {
-                        Ok(Reply::Refused(reason))
+                        Ok(parts)
                     }
                     other => Err(Box::new(other)),
                 });
-            let reply = match reply {
-                Ok(reply) => reply,
+            let parts = match reply {
+                Ok(parts) => parts,
                 Err(ClientError::Timeout(_)) => return Ok(ReadAttempt::TimedOut),
                 Err(e) => return Err(e),
             };
-            let (root_height, covered, header, proof) = match reply {
-                Reply::Refused(reason) => {
-                    if let Some(ctx) = self.read.as_mut() {
-                        ctx.stats.refusals += 1;
-                    }
-                    return Ok(ReadAttempt::Refused(reason));
-                }
-                Reply::Resp {
-                    root_height,
-                    covered,
-                    header,
-                    proof,
-                } => (root_height, covered, header, proof),
-            };
-            match self.classify_response(
-                target,
-                shard,
-                keys,
-                min_covered,
-                at_height,
-                root_height,
-                covered,
-                header.as_deref(),
-                &proof,
-            ) {
-                Ok(verified) => return Ok(ReadAttempt::Ok(verified)),
-                Err(ReadFault::UnknownRoot { .. }) if !refreshed => {
+            let part = parts.iter().find(|part| part.shard == shard);
+            match self.check_part(target, keys, min_covered, pinned, part.expect("matched")) {
+                ReadAttempt::Refuted(ReadFault::UnknownRoot { .. }) if !refreshed => {
                     // Client-side ignorance, not misbehaviour: learn the
                     // newer co-signed roots and retry once.
                     refreshed = true;
                     self.refresh_roots(target, shard, deadline)?;
                 }
-                Err(fault) => return Ok(ReadAttempt::Refuted(fault)),
+                attempt => return Ok(attempt),
             }
         }
     }
@@ -1646,6 +1600,265 @@ impl core::fmt::Debug for ClientSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
+
+    use fides_net::{Network, NetworkConfig};
+    use fides_store::AuthenticatedShard;
+
+    use crate::messages::ServedRead;
+    use crate::server::client_node;
+
+    const N: u32 = 4;
+
+    fn item(shard: u32, i: usize) -> Key {
+        Key::new(format!("s{shard}:{i}"))
+    }
+
+    fn genesis(shard: u32, i: usize) -> Value {
+        Value::from_i64(100 * shard as i64 + i as i64)
+    }
+
+    /// A real client whose servers the test plays over a zero-latency
+    /// network, signing with the deterministic `fides-server-{i}` keys
+    /// a cluster uses. Every shard holds its genesis items, so a
+    /// played server's proofs anchor at genesis (root height 0).
+    struct Played {
+        _net: Network,
+        servers: Vec<(KeyPair, Endpoint)>,
+        shards: Vec<AuthenticatedShard>,
+        evidence: Arc<parking_lot::Mutex<Vec<ReadEvidence>>>,
+    }
+
+    impl Played {
+        fn start() -> (Played, ClientSession) {
+            let net = Network::new(NetworkConfig::default());
+            let servers: Vec<(KeyPair, Endpoint)> = (0..N)
+                .map(|s| {
+                    let kp = KeyPair::from_seed(format!("fides-server-{s}").as_bytes());
+                    (kp, net.register(server_node(s)))
+                })
+                .collect();
+            let client_kp = KeyPair::from_seed(b"fides-client-0");
+            let mut directory: HashMap<NodeId, PublicKey> = servers
+                .iter()
+                .map(|(kp, ep)| (ep.node(), kp.public_key()))
+                .collect();
+            directory.insert(client_node(0), client_kp.public_key());
+            let partitioner = Partitioner::from_assignments(
+                N,
+                (0..N).flat_map(|s| (0..4).map(move |i| (item(s, i), s))),
+            );
+            let shards: Vec<AuthenticatedShard> = (0..N)
+                .map(|s| {
+                    AuthenticatedShard::new((0..4).map(|i| (item(s, i), genesis(s, i))).collect())
+                })
+                .collect();
+            let evidence = Arc::new(parking_lot::Mutex::new(Vec::new()));
+            let client = ClientSession::new(
+                0,
+                net.register(client_node(0)),
+                client_kp,
+                Arc::new(directory),
+                partitioner,
+                servers.iter().map(|(kp, _)| kp.public_key()).collect(),
+                TimestampOracle::new(),
+                CommitProtocol::TfCommit,
+            )
+            .with_read_context(
+                shards.iter().map(AuthenticatedShard::root).collect(),
+                Arc::clone(&evidence),
+            );
+            let played = Played {
+                _net: net,
+                servers,
+                shards,
+                evidence,
+            };
+            (played, client)
+        }
+
+        /// The next message server `s` receives.
+        fn recv(&self, s: u32) -> Message {
+            let env = self.servers[s as usize]
+                .1
+                .recv_timeout(Duration::from_secs(10))
+                .unwrap_or_else(|_| panic!("server {s} got no request"));
+            Message::decode(&env.payload).expect("decodes")
+        }
+
+        /// Server `s` sends `msg` to the client.
+        fn reply(&self, s: u32, msg: &Message) {
+            let (kp, ep) = &self.servers[s as usize];
+            ep.send(Envelope::sign(kp, ep.node(), client_node(0), msg.encode()));
+        }
+
+        /// An honest genesis-anchored read of `keys` from `shard`.
+        fn serve(&self, shard: u32, keys: &[Key]) -> ServedRead {
+            ServedRead {
+                root_height: 0,
+                covered_height: 0,
+                header: None,
+                proof: Box::new(self.shards[shard as usize].prove_read(keys)),
+            }
+        }
+    }
+
+    /// A non-target server answers the read's guessable request id
+    /// first, with a forged value for one part and a `NoSnapshot` for
+    /// another. The client takes only the asked server's response: the
+    /// read returns its verified values, nothing is filed against it
+    /// and it is not parked as mirror-less.
+    #[test]
+    fn read_replies_are_taken_only_from_the_asked_server() {
+        let (played, mut client) = Played::start();
+        let keys = vec![item(0, 1), item(1, 2), item(3, 0)];
+        let reader = {
+            let keys = keys.clone();
+            std::thread::spawn(move || {
+                let values = client.read_only(&keys, ReadConsistency::BoundedStaleness(64));
+                (client, values)
+            })
+        };
+        // Client 0's rotation starts at server 0: one request, every
+        // shard in it.
+        let Message::SnapshotRead { req, parts, .. } = played.recv(0) else {
+            panic!("expected a snapshot read");
+        };
+        let shards: Vec<u32> = parts.iter().map(|(shard, _)| *shard).collect();
+        assert_eq!(shards, [0, 1, 3]);
+
+        let mut forged = played.serve(0, &parts[0].1);
+        if let fides_store::ReadEntryProof::Present { value, .. } = &mut forged.proof.entries[0] {
+            *value = Value::from_i64(-1);
+        }
+        played.reply(
+            2,
+            &Message::SnapshotReadResp {
+                req,
+                parts: vec![
+                    ReadPart {
+                        shard: 0,
+                        result: Ok(forged),
+                    },
+                    ReadPart {
+                        shard: 1,
+                        result: Err(ReadRefusal::NoSnapshot),
+                    },
+                ],
+            },
+        );
+        let honest = parts
+            .iter()
+            .map(|(shard, keys)| ReadPart {
+                shard: *shard,
+                result: Ok(played.serve(*shard, keys)),
+            })
+            .collect();
+        played.reply(0, &Message::SnapshotReadResp { req, parts: honest });
+
+        let (client, values) = reader.join().expect("reader thread");
+        let want = [
+            Some(genesis(0, 1)),
+            Some(genesis(1, 2)),
+            Some(genesis(3, 0)),
+        ];
+        assert_eq!(values.expect("verified read"), want);
+        assert!(played.evidence.lock().is_empty());
+        let ctx = client.read.as_ref().expect("read context");
+        assert!(ctx.no_mirror.is_empty(), "{:?}", ctx.no_mirror);
+        assert_eq!(ctx.stats.refusals, 0);
+        assert_eq!(ctx.stats.reads, 3);
+        for s in 1..N {
+            assert!(played.servers[s as usize].1.try_recv().is_none());
+        }
+    }
+
+    /// A non-owner answers a batched read and a blind write first,
+    /// planting a value and timestamps. The client keeps only what each
+    /// key's owner sent.
+    #[test]
+    fn execution_replies_are_taken_only_from_the_owner() {
+        let (played, mut client) = Played::start();
+        let (read_key, write_key) = (item(1, 0), item(2, 3));
+        let executor = {
+            let (read_key, write_key) = (read_key.clone(), write_key.clone());
+            std::thread::spawn(move || {
+                let mut txn = client.begin();
+                let read = client.read_all(&mut txn, std::slice::from_ref(&read_key));
+                let wrote = client.write_all(&mut txn, &[(write_key, Value::from_i64(7))]);
+                (read, wrote, txn)
+            })
+        };
+        let planted = Some((
+            Value::from_i64(-1),
+            Timestamp::new(900, 3),
+            Timestamp::new(900, 3),
+        ));
+
+        let Message::ReadMany { txn, .. } = played.recv(1) else {
+            panic!("expected a batched read at the owner");
+        };
+        let (value, rts, wts) = (genesis(1, 0), Timestamp::new(3, 1), Timestamp::new(2, 1));
+        played.reply(
+            3,
+            &Message::ReadManyResp {
+                txn,
+                items: vec![(read_key.clone(), planted.clone())],
+            },
+        );
+        played.reply(
+            1,
+            &Message::ReadManyResp {
+                txn,
+                items: vec![(read_key.clone(), Some((value.clone(), rts, wts)))],
+            },
+        );
+
+        let Message::Write { txn, key, .. } = played.recv(2) else {
+            panic!("expected a blind write at the owner");
+        };
+        assert_eq!(key, write_key);
+        let old = (genesis(2, 3), Timestamp::new(5, 2), Timestamp::new(4, 2));
+        played.reply(
+            0,
+            &Message::WriteAck {
+                txn,
+                key: write_key.clone(),
+                old: planted,
+            },
+        );
+        played.reply(
+            2,
+            &Message::WriteAck {
+                txn,
+                key: write_key.clone(),
+                old: Some(old.clone()),
+            },
+        );
+
+        let (read, wrote, txn) = executor.join().expect("executor thread");
+        assert_eq!(read.expect("read"), std::slice::from_ref(&value));
+        wrote.expect("write");
+        assert_eq!(
+            txn.reads,
+            [ReadEntry {
+                key: read_key,
+                value,
+                rts,
+                wts,
+            }]
+        );
+        assert_eq!(
+            txn.writes,
+            [WriteEntry {
+                key: write_key,
+                new_value: Value::from_i64(7),
+                old_value: Some(old.0),
+                rts: old.1,
+                wts: old.2,
+            }]
+        );
+    }
 
     #[test]
     fn oracle_is_strictly_increasing() {

@@ -316,53 +316,33 @@ pub enum Message {
     // Verified read plane (client ↔ any server).
     //
     // Read-only transactions never enter a commit round: the client
-    // asks one server for a proof-carrying snapshot read, verifies the
-    // multiproof/absence proofs against a cached co-signed root, and
-    // is done. Any peer holding a verified checkpoint mirror of another
-    // server's shard serves (stale-bounded) reads for it.
+    // asks one server for a proof-carrying snapshot read of every shard
+    // it touches, verifies the multiproof/absence proofs against cached
+    // co-signed roots, and is done. Any peer holding a verified
+    // checkpoint mirror of another server's shard serves
+    // (stale-bounded) reads for it.
     // ------------------------------------------------------------------
-    /// A batched proof-carrying read of `keys` (all owned by `shard`).
-    /// The server must serve state current through at least
-    /// `min_covered` applied blocks (an honest server refuses
+    /// A batched proof-carrying read: per part, `keys` all owned by
+    /// `shard`. The server must serve state current through at least
+    /// `min_covered` applied blocks (an honest server refuses the part
     /// otherwise); `at_height` pins an exact snapshot instead.
     SnapshotRead {
         /// Client-local request id (correlates the response).
         req: u64,
-        /// The shard the keys belong to.
-        shard: u32,
-        /// The keys to read.
-        keys: Vec<Key>,
+        /// `(shard, keys)` per shard read.
+        parts: Vec<(u32, Vec<Key>)>,
         /// Minimum applied height the served state must cover.
         min_covered: u64,
         /// Serve state exactly as of this applied height (`AtHeight`).
         at_height: Option<u64>,
     },
-    /// The proof-carrying answer: values + multiproof + absence proofs
-    /// anchored at the co-signed root of applied height `root_height`
-    /// (0 = genesis), optionally with the co-signed header proving that
-    /// root to a client that has not cached it.
+    /// The answer to a [`Message::SnapshotRead`], signed once: one
+    /// [`ReadPart`] per distinct shard requested, in request order.
     SnapshotReadResp {
         /// Echo of the request id.
         req: u64,
-        /// The shard read.
-        shard: u32,
-        /// Applied height of the anchoring co-signed root.
-        root_height: u64,
-        /// Applied height the served state is current through.
-        covered_height: u64,
-        /// The co-signed root carrier (`None` = genesis or
-        /// client-cached).
-        header: Option<Box<BlockHeader>>,
-        /// The proof bundle (values ride inside).
-        proof: Box<ShardReadProof>,
-    },
-    /// The server cannot serve the read under the requested policy —
-    /// an *honest* refusal carrying a retargeting hint, never evidence.
-    SnapshotReadRefused {
-        /// Echo of the request id.
-        req: u64,
-        /// Why, plus how the client should retarget.
-        reason: ReadRefusal,
+        /// One proof-carrying answer or honest refusal per shard.
+        parts: Vec<ReadPart>,
     },
     /// Ask a server for recent co-signed block headers (the pull side
     /// of the lightweight root announcement): headers at or above
@@ -404,9 +384,35 @@ pub enum Message {
 /// server stores it, its `(value, rts, wts)` state.
 pub type ReadManyItem = (Key, Option<(Value, Timestamp, Timestamp)>);
 
-/// Why a server honestly refused a [`Message::SnapshotRead`] — always a
-/// retargeting hint, never evidence (a *Byzantine* server serves a bad
-/// response instead, and the client's verification refutes it).
+/// One shard's answer inside a [`Message::SnapshotReadResp`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ReadPart {
+    /// The shard this part answers.
+    pub shard: u32,
+    /// The proof-carrying read, or why this server refused the shard.
+    pub result: Result<ServedRead, ReadRefusal>,
+}
+
+/// A proof-carrying read of one shard: values + multiproof + absence
+/// proofs anchored at the co-signed root of applied height
+/// `root_height` (0 = genesis), optionally with the co-signed header
+/// proving that root to a client that has not cached it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ServedRead {
+    /// Applied height of the anchoring co-signed root.
+    pub root_height: u64,
+    /// Applied height the served state is current through.
+    pub covered_height: u64,
+    /// The co-signed root carrier (`None` = genesis or client-cached).
+    pub header: Option<Box<BlockHeader>>,
+    /// The proof bundle (values ride inside).
+    pub proof: Box<ShardReadProof>,
+}
+
+/// Why a server honestly refused one shard of a
+/// [`Message::SnapshotRead`] — always a retargeting hint, never
+/// evidence (a *Byzantine* server serves a bad proof instead, and the
+/// client's verification refutes it).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ReadRefusal {
     /// The server is mid-repair and cannot serve trustworthy reads;
@@ -474,6 +480,42 @@ impl Decodable for ReadRefusal {
     }
 }
 
+impl Encodable for ReadPart {
+    fn encode_into(&self, enc: &mut Encoder) {
+        enc.put_u32(self.shard);
+        match &self.result {
+            Ok(served) => {
+                enc.put_u8(1);
+                enc.put_u64(served.root_height);
+                enc.put_u64(served.covered_height);
+                enc.put_option(&served.header, |e, h| h.encode_into(e));
+                served.proof.encode_into(enc);
+            }
+            Err(reason) => {
+                enc.put_u8(0);
+                reason.encode_into(enc);
+            }
+        }
+    }
+}
+
+impl Decodable for ReadPart {
+    fn decode_from(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        let shard = dec.take_u32()?;
+        let result = match dec.take_u8()? {
+            1 => Ok(ServedRead {
+                root_height: dec.take_u64()?,
+                covered_height: dec.take_u64()?,
+                header: dec.take_option(|d| BlockHeader::decode_from(d).map(Box::new))?,
+                proof: Box::new(ShardReadProof::decode_from(dec)?),
+            }),
+            0 => Err(ReadRefusal::decode_from(dec)?),
+            t => return Err(DecodeError::InvalidTag(t)),
+        };
+        Ok(ReadPart { shard, result })
+    }
+}
+
 impl Message {
     /// A short name for diagnostics.
     pub fn kind(&self) -> &'static str {
@@ -507,7 +549,6 @@ impl Message {
             Message::Durable { .. } => "durable",
             Message::SnapshotRead { .. } => "snapshot-read",
             Message::SnapshotReadResp { .. } => "snapshot-read-resp",
-            Message::SnapshotReadRefused { .. } => "snapshot-read-refused",
             Message::RootQuery { .. } => "root-query",
             Message::RootAnnounce { .. } => "root-announce",
         }
@@ -795,38 +836,23 @@ impl Encodable for Message {
             }
             Message::SnapshotRead {
                 req,
-                shard,
-                keys,
+                parts,
                 min_covered,
                 at_height,
             } => {
                 enc.put_u8(29);
                 enc.put_u64(*req);
-                enc.put_u32(*shard);
-                enc.put_seq(keys, |e, k| k.encode_into(e));
+                enc.put_seq(parts, |e, (shard, keys)| {
+                    e.put_u32(*shard);
+                    e.put_seq(keys, |e, k| k.encode_into(e));
+                });
                 enc.put_u64(*min_covered);
                 enc.put_option(at_height, |e, h| e.put_u64(*h));
             }
-            Message::SnapshotReadResp {
-                req,
-                shard,
-                root_height,
-                covered_height,
-                header,
-                proof,
-            } => {
+            Message::SnapshotReadResp { req, parts } => {
                 enc.put_u8(30);
                 enc.put_u64(*req);
-                enc.put_u32(*shard);
-                enc.put_u64(*root_height);
-                enc.put_u64(*covered_height);
-                enc.put_option(header, |e, h| h.encode_into(e));
-                proof.encode_into(enc);
-            }
-            Message::SnapshotReadRefused { req, reason } => {
-                enc.put_u8(31);
-                enc.put_u64(*req);
-                reason.encode_into(enc);
+                enc.put_seq(parts, |e, part| part.encode_into(e));
             }
             Message::RootQuery { from } => {
                 enc.put_u8(32);
@@ -981,23 +1007,16 @@ impl Decodable for Message {
             },
             29 => Message::SnapshotRead {
                 req: dec.take_u64()?,
-                shard: dec.take_u32()?,
-                keys: dec.take_seq(Key::decode_from)?,
+                parts: dec.take_seq(|d| Ok((d.take_u32()?, d.take_seq(Key::decode_from)?)))?,
                 min_covered: dec.take_u64()?,
                 at_height: dec.take_option(|d| d.take_u64())?,
             },
             30 => Message::SnapshotReadResp {
                 req: dec.take_u64()?,
-                shard: dec.take_u32()?,
-                root_height: dec.take_u64()?,
-                covered_height: dec.take_u64()?,
-                header: dec.take_option(|d| BlockHeader::decode_from(d).map(Box::new))?,
-                proof: Box::new(ShardReadProof::decode_from(dec)?),
+                parts: dec.take_seq(ReadPart::decode_from)?,
             },
-            31 => Message::SnapshotReadRefused {
-                req: dec.take_u64()?,
-                reason: ReadRefusal::decode_from(dec)?,
-            },
+            // Tag 31 carried the retired single-shard refusal; it stays
+            // unassigned.
             32 => Message::RootQuery {
                 from: dec.take_u64()?,
             },
@@ -1245,48 +1264,109 @@ mod tests {
         roundtrip(Message::Durable { height: 3 });
     }
 
-    #[test]
-    fn read_plane_messages_roundtrip() {
-        roundtrip(Message::SnapshotRead {
+    fn sample_read_request() -> Message {
+        Message::SnapshotRead {
             req: 7,
-            shard: 2,
-            keys: vec![Key::new("a"), Key::new("b")],
+            parts: vec![
+                (2, vec![Key::new("a"), Key::new("b")]),
+                (0, vec![Key::new("c")]),
+                (3, Vec::new()),
+            ],
             min_covered: 12,
             at_height: Some(10),
-        });
+        }
+    }
+
+    /// A response with a served part carrying a header, a refused part
+    /// and a genesis-anchored part.
+    fn sample_read_response() -> Message {
         let shard = fides_store::AuthenticatedShard::new(vec![(Key::new("m"), Value::from_i64(3))]);
         let proof = shard.prove_read(&[Key::new("m"), Key::new("missing")]);
         let block = BlockBuilder::new(4, Digest::new([2; 32]))
             .txn(sample_record())
             .decision(Decision::Commit)
             .build_unsigned();
-        roundtrip(Message::SnapshotReadResp {
+        Message::SnapshotReadResp {
             req: 7,
-            shard: 2,
-            root_height: 5,
-            covered_height: 9,
-            header: Some(Box::new(block.header())),
-            proof: Box::new(proof.clone()),
+            parts: vec![
+                ReadPart {
+                    shard: 2,
+                    result: Ok(ServedRead {
+                        root_height: 5,
+                        covered_height: 9,
+                        header: Some(Box::new(block.header())),
+                        proof: Box::new(proof.clone()),
+                    }),
+                },
+                ReadPart {
+                    shard: 0,
+                    result: Err(ReadRefusal::NoSnapshot),
+                },
+                ReadPart {
+                    shard: 3,
+                    result: Ok(ServedRead {
+                        root_height: 0,
+                        covered_height: 0,
+                        header: None,
+                        proof: Box::new(proof),
+                    }),
+                },
+            ],
+        }
+    }
+
+    #[test]
+    fn read_plane_messages_roundtrip() {
+        roundtrip(sample_read_request());
+        roundtrip(Message::SnapshotRead {
+            req: 0,
+            parts: Vec::new(),
+            min_covered: 0,
+            at_height: None,
         });
-        roundtrip(Message::SnapshotReadResp {
-            req: 8,
-            shard: 2,
-            root_height: 0,
-            covered_height: 0,
-            header: None,
-            proof: Box::new(proof),
-        });
+        roundtrip(sample_read_response());
         for reason in [
-            crate::messages::ReadRefusal::Repairing { eta_hint_ms: 120 },
-            crate::messages::ReadRefusal::NoSnapshot,
-            crate::messages::ReadRefusal::TooStale { best_covered: 4 },
+            ReadRefusal::Repairing { eta_hint_ms: 120 },
+            ReadRefusal::NoSnapshot,
+            ReadRefusal::TooStale { best_covered: 4 },
         ] {
-            roundtrip(Message::SnapshotReadRefused { req: 3, reason });
+            roundtrip(Message::SnapshotReadResp {
+                req: 3,
+                parts: vec![ReadPart {
+                    shard: 1,
+                    result: Err(reason),
+                }],
+            });
         }
         roundtrip(Message::RootQuery { from: 9 });
+        let block = BlockBuilder::new(4, Digest::new([2; 32]))
+            .decision(Decision::Commit)
+            .build_unsigned();
         roundtrip(Message::RootAnnounce {
             headers: vec![block.header()],
         });
+    }
+
+    proptest::proptest! {
+        /// Truncated and bit-flipped read-plane encodings decode to an
+        /// error or to some message; they never panic the decoder. A
+        /// truncation is always an error (decoding is a left-to-right
+        /// parse, so a shorter prefix cannot be a whole message).
+        #[test]
+        fn read_plane_decoding_never_panics(
+            cut in 0usize..4096,
+            flips in proptest::collection::vec((0usize..1 << 16, 0u8..8), 1..4),
+        ) {
+            for msg in [sample_read_request(), sample_read_response()] {
+                let bytes = msg.encode();
+                proptest::prop_assert!(Message::decode(&bytes[..cut % bytes.len()]).is_err());
+                let mut flipped = bytes.clone();
+                for &(at, bit) in &flips {
+                    flipped[at % bytes.len()] ^= 1 << bit;
+                }
+                let _ = Message::decode(&flipped);
+            }
+        }
     }
 
     #[test]
@@ -1303,10 +1383,14 @@ mod tests {
                 keys: Vec::new(),
             }
             .kind(),
+            sample_read_request().kind(),
+            sample_read_response().kind(),
+            Message::RootQuery { from: 0 }.kind(),
             Message::Flush.kind(),
             Message::Shutdown.kind(),
         ];
-        assert_eq!(kinds.len(), 3);
+        let distinct: std::collections::HashSet<&str> = kinds.iter().copied().collect();
+        assert_eq!(distinct.len(), kinds.len(), "{kinds:?}");
         assert!(kinds.iter().all(|k| !k.is_empty()));
     }
 }

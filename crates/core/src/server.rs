@@ -79,7 +79,8 @@ use fides_store::DeltaError;
 
 use crate::behavior::Behavior;
 use crate::messages::{
-    CommitProtocol, InvolvedVote, Message, MirrorImage, PartialBlock, Refusal, TxnHandle,
+    CommitProtocol, InvolvedVote, Message, MirrorImage, PartialBlock, ReadPart, ReadRefusal,
+    Refusal, ServedRead, TxnHandle,
 };
 use crate::occ;
 use crate::partition::Partitioner;
@@ -1277,11 +1278,10 @@ impl Server {
             Message::Durable { height } => self.handle_durable(from, height),
             Message::SnapshotRead {
                 req,
-                shard,
-                keys,
+                parts,
                 min_covered,
                 at_height,
-            } => self.handle_snapshot_read(from, req, shard, keys, min_covered, at_height),
+            } => self.handle_snapshot_read(from, req, parts, min_covered, at_height),
             Message::RootQuery { from: from_height } => self.handle_root_query(from, from_height),
             Message::Shutdown => self.running = false,
             // Replies meant for clients, and forwards outside rotation.
@@ -2248,115 +2248,115 @@ impl Server {
         }
     }
 
-    fn refuse_read(&self, to: NodeId, req: u64, reason: crate::messages::ReadRefusal) {
-        self.state.telemetry.read_refusals.inc();
-        self.state.telemetry.events.record(
-            Level::Debug,
-            "read",
-            format!("refused snapshot read {req}: {reason:?}"),
-        );
-        self.send(to, &Message::SnapshotReadRefused { req, reason });
-    }
-
-    /// Serves a proof-carrying snapshot read: from the live shard when
-    /// this server owns it, from a cached verified mirror otherwise.
+    /// Serves a proof-carrying snapshot read of every part's shard in
+    /// one response, signed once: each shard from the live shard when
+    /// this server owns it, from a cached verified mirror otherwise. A
+    /// repeated shard is answered once, for its first part's keys.
     fn handle_snapshot_read(
         &mut self,
         from: NodeId,
         req: u64,
-        shard_idx: u32,
-        keys: Vec<Key>,
+        parts: Vec<(u32, Vec<Key>)>,
         min_covered: u64,
         at_height: Option<u64>,
     ) {
-        use crate::messages::ReadRefusal;
-        if self.config.protocol != CommitProtocol::TfCommit {
+        let mut answered: Vec<ReadPart> = Vec::with_capacity(parts.len());
+        let mut seen: HashSet<u32> = HashSet::with_capacity(parts.len());
+        for (shard, keys) in parts {
+            if !seen.insert(shard) {
+                continue;
+            }
+            let result = self.serve_read_part(shard, &keys, min_covered, at_height);
+            match &result {
+                Ok(_) if shard == self.config.idx => self.state.telemetry.reads_owner.inc(),
+                Ok(_) => self.state.telemetry.reads_mirror.inc(),
+                Err(reason) => {
+                    self.state.telemetry.read_refusals.inc();
+                    self.state.telemetry.events.record(
+                        Level::Debug,
+                        "read",
+                        format!("refused shard {shard} of snapshot read {req}: {reason:?}"),
+                    );
+                }
+            }
+            answered.push(ReadPart { shard, result });
+        }
+        self.send(
+            from,
+            &Message::SnapshotReadResp {
+                req,
+                parts: answered,
+            },
+        );
+    }
+
+    /// One shard's part of a snapshot read: the proof-carrying answer,
+    /// or the honest refusal.
+    fn serve_read_part(
+        &self,
+        shard_idx: u32,
+        keys: &[Key],
+        min_covered: u64,
+        at_height: Option<u64>,
+    ) -> Result<ServedRead, ReadRefusal> {
+        if self.config.protocol != CommitProtocol::TfCommit || shard_idx >= self.config.n_servers {
             // The 2PC baseline co-signs nothing and keeps no Merkle
             // tree: no proof a client could verify exists. Refusing is
             // the honest answer (serving would only earn an honest
-            // server false TamperedRead evidence).
-            self.refuse_read(from, req, ReadRefusal::NoSnapshot);
-            return;
+            // server false TamperedRead evidence). No server holds a
+            // shard past the cluster's.
+            return Err(ReadRefusal::NoSnapshot);
         }
         if self.state.is_repairing() {
             // A repairing shard cannot anchor trustworthy reads, and a
             // mirror held here may be what the repair itself is about.
-            let eta_hint_ms = self.repair_eta_ms();
-            self.refuse_read(from, req, ReadRefusal::Repairing { eta_hint_ms });
-            return;
+            return Err(ReadRefusal::Repairing {
+                eta_hint_ms: self.repair_eta_ms(),
+            });
         }
         let ignore_bounds = self.state.behavior().ignore_read_bounds;
-        let (root_height, covered, header, proof) = if shard_idx == self.config.idx {
+        // Too stale, or pinned at an `h` this state is not the state
+        // at: a root landed after `h`, or `h` is in the future.
+        let out_of_bounds = |root_height: u64, covered: u64| {
+            !ignore_bounds
+                && (covered < min_covered
+                    || at_height.is_some_and(|h| root_height > h || h > covered))
+        };
+        let (root_height, covered, header, mut proof) = if shard_idx == self.config.idx {
             // Owner path: one shard-stage lock covers proof generation
             // and the anchor — a consistent (state, root) pair even
             // while the commit pipeline is mid-flight.
             let stage = self.state.shard.lock();
             let Some((root_height, header)) = stage.last_root.anchor() else {
                 // Checkpoint bootstrap with no root-bearing block yet.
-                self.refuse_read(from, req, ReadRefusal::TooStale { best_covered: 0 });
-                return;
+                return Err(ReadRefusal::TooStale { best_covered: 0 });
             };
             let covered = stage.applied_height;
-            if covered < min_covered && !ignore_bounds {
-                self.refuse_read(
-                    from,
-                    req,
-                    ReadRefusal::TooStale {
-                        best_covered: covered,
-                    },
-                );
-                return;
+            if out_of_bounds(root_height, covered) {
+                return Err(ReadRefusal::TooStale {
+                    best_covered: covered,
+                });
             }
-            if at_height.is_some_and(|h| root_height > h || h > covered) && !ignore_bounds {
-                // The live state is not the state at `h` (a root landed
-                // after it, or `h` is in the future).
-                self.refuse_read(
-                    from,
-                    req,
-                    ReadRefusal::TooStale {
-                        best_covered: covered,
-                    },
-                );
-                return;
-            }
-            let proof = stage.shard.prove_read(&keys);
-            (root_height, covered, header, proof)
+            (root_height, covered, header, stage.shard.prove_read(keys))
         } else {
             // Mirror path: serve a *peer's* shard from its verified
-            // checkpoint mirror. The whole response derives from one
+            // checkpoint mirror. The whole part derives from one
             // `Arc<MirrorReadState>` — a mirror superseded mid-read
             // cannot produce a torn (state, root) mix.
-            let Some((mirror, (root_height, header))) = self.mirror_read_state(shard_idx) else {
-                self.refuse_read(from, req, ReadRefusal::NoSnapshot);
-                return;
-            };
-            if mirror.covered < min_covered && !ignore_bounds {
-                self.refuse_read(
-                    from,
-                    req,
-                    ReadRefusal::TooStale {
-                        best_covered: mirror.covered,
-                    },
-                );
-                return;
+            let (mirror, (root_height, header)) = self
+                .mirror_read_state(shard_idx)
+                .ok_or(ReadRefusal::NoSnapshot)?;
+            if out_of_bounds(root_height, mirror.covered) {
+                return Err(ReadRefusal::TooStale {
+                    best_covered: mirror.covered,
+                });
             }
-            if at_height.is_some_and(|h| root_height > h || h > mirror.covered) && !ignore_bounds {
-                self.refuse_read(
-                    from,
-                    req,
-                    ReadRefusal::TooStale {
-                        best_covered: mirror.covered,
-                    },
-                );
-                return;
-            }
-            let proof = mirror.shard.prove_read(&keys);
+            let proof = mirror.shard.prove_read(keys);
             (root_height, mirror.covered, header, proof)
         };
 
-        // Byzantine switches: forge values/absences inside the response
+        // Byzantine switches: forge values/absences inside the part
         // (the genuine proofs then refute the forgery client-side).
-        let mut proof = proof;
         let behavior = self.state.behavior();
         if !behavior.forge_read_values.is_empty() || !behavior.forge_read_absence.is_empty() {
             for (key, entry) in keys.iter().zip(proof.entries.iter_mut()) {
@@ -2373,23 +2373,12 @@ impl Server {
                 }
             }
         }
-
-        if shard_idx == self.config.idx {
-            self.state.telemetry.reads_owner.inc();
-        } else {
-            self.state.telemetry.reads_mirror.inc();
-        }
-        self.send(
-            from,
-            &Message::SnapshotReadResp {
-                req,
-                shard: shard_idx,
-                root_height,
-                covered_height: covered,
-                header: header.map(Box::new),
-                proof: Box::new(proof),
-            },
-        );
+        Ok(ServedRead {
+            root_height,
+            covered_height: covered,
+            header: header.map(Box::new),
+            proof: Box::new(proof),
+        })
     }
 
     /// Restores a mirror image (counted in `repair.mirror_restores`)
@@ -3559,8 +3548,7 @@ mod tests {
                 CLIENT,
                 Message::SnapshotRead {
                     req: 1,
-                    shard: 0,
-                    keys: vec![item(0, 1)],
+                    parts: vec![(0, vec![item(0, 1)])],
                     min_covered: 0,
                     at_height: None,
                 },
@@ -3621,5 +3609,46 @@ mod tests {
         assert_eq!(h.finish_round().height, 1);
         h.stop().expect("leader thread");
         assert_eq!(h.state.metrics().counter("commit.round.timeouts"), 0);
+    }
+
+    /// One snapshot read answers each distinct shard once, in request
+    /// order: a repeated shard is served for its first part only, and a
+    /// shard past the cluster's is refused.
+    #[test]
+    fn snapshot_read_answers_each_shard_once_and_refuses_unknown_shards() {
+        let h = Harness::start();
+        h.send(
+            CLIENT,
+            Message::SnapshotRead {
+                req: 5,
+                parts: vec![
+                    (0, vec![item(0, 1)]),
+                    (N, vec![item(0, 2)]),
+                    (0, vec![item(0, 2), item(0, 3)]),
+                    (u32::MAX, Vec::new()),
+                ],
+                min_covered: 0,
+                at_height: None,
+            },
+        );
+        let parts = h.expect(CLIENT, "SnapshotReadResp", |m| match m {
+            Message::SnapshotReadResp { req: 5, parts } => Some(parts),
+            _ => None,
+        });
+        let shards: Vec<u32> = parts.iter().map(|part| part.shard).collect();
+        assert_eq!(shards, [0, N, u32::MAX]);
+        let served = parts[0].result.as_ref().expect("owner part served");
+        let values = served
+            .proof
+            .verify(&[item(0, 1)], &h.state.with_shard(|shard| shard.root()))
+            .expect("proof verifies");
+        assert_eq!(values, [Some(Value::from_i64(0))]);
+        for part in &parts[1..] {
+            assert_eq!(part.result, Err(ReadRefusal::NoSnapshot));
+        }
+        let metrics = h.state.metrics();
+        assert_eq!(metrics.counter("read.serve.owner"), 1);
+        assert_eq!(metrics.counter("read.serve.mirror"), 0);
+        assert_eq!(metrics.counter("read.refused"), 2);
     }
 }

@@ -664,3 +664,99 @@ fn at_height_pins_a_snapshot() {
     assert!(cluster.read_evidence().is_empty());
     cluster.shutdown();
 }
+
+/// Waits until no message has been sent for 100 ms, so a measured
+/// message count sees only what the measured operation sends.
+fn quiesce(cluster: &FidesCluster) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut last = cluster.network_stats().messages_sent();
+    loop {
+        std::thread::sleep(Duration::from_millis(100));
+        let now = cluster.network_stats().messages_sent();
+        if now == last {
+            return;
+        }
+        assert!(Instant::now() < deadline, "the cluster never went quiet");
+        last = now;
+    }
+}
+
+/// Per server, the shard parts it has served (owner plus mirror).
+fn parts_served(cluster: &FidesCluster) -> Vec<u64> {
+    (0..cluster.config().n_servers)
+        .map(|s| {
+            let metrics = cluster.server_metrics(s);
+            metrics.counter("read.serve.owner") + metrics.counter("read.serve.mirror")
+        })
+        .collect()
+}
+
+#[test]
+fn bounded_read_of_every_shard_is_one_round_trip() {
+    const INTERVAL: u64 = 4;
+    let tmp = fides_durability::testutil::TempDir::new("one-round-trip");
+    let cluster =
+        FidesCluster::start(ClusterConfig::new(4).items_per_shard(8).persistence(
+            fides_core::PersistenceConfig::files(tmp.path()).snapshot_interval(INTERVAL),
+        ));
+    let mut writer = cluster.client(0);
+    commit_past_and_await_mirrors(&cluster, &mut writer, 2 * INTERVAL, INTERVAL);
+    quiesce(&cluster);
+
+    // Every server holds a mirror of every peer: one server answers a
+    // read of all four shards, in one request and one signed response.
+    let keys: Vec<Key> = (0..4).map(|s| cluster.key_of(s, 1)).collect();
+    let mut reader = cluster.client(1);
+    let served = parts_served(&cluster);
+    let sent = cluster.network_stats().messages_sent();
+    let values = reader
+        .read_only(&keys, ReadConsistency::BoundedStaleness(64))
+        .expect("verified read");
+    assert_eq!(cluster.network_stats().messages_sent() - sent, 2);
+    assert!(values.iter().all(Option::is_some), "{values:?}");
+    let raised: Vec<u64> = parts_served(&cluster)
+        .iter()
+        .zip(&served)
+        .map(|(now, before)| now - before)
+        .collect();
+    assert_eq!(raised.iter().filter(|d| **d > 0).count(), 1, "{raised:?}");
+    assert_eq!(raised.iter().sum::<u64>(), 4, "{raised:?}");
+    let stats = reader.take_read_stats();
+    assert_eq!((stats.reads, stats.refusals), (4, 0), "{stats:?}");
+    assert!(cluster.read_evidence().is_empty());
+    cluster.shutdown();
+}
+
+#[test]
+fn refused_part_falls_back_per_shard_without_evidence() {
+    // Memory-only servers hold no mirrors: a target answers its own
+    // shard and refuses every other.
+    let cluster = FidesCluster::start(ClusterConfig::new(2).items_per_shard(8));
+    let keys = [cluster.key_of(0, 2), cluster.key_of(1, 3)];
+    commit_rmw(&mut cluster.client(0), &keys, 5);
+    cluster.settle(Duration::from_secs(5)).expect("settled");
+    quiesce(&cluster);
+
+    // Client 1's rotation starts at server 1, which serves shard 1 and
+    // refuses shard 0; the per-shard fallback then reads shard 0 from
+    // its owner.
+    let mut reader = cluster.client(1);
+    let sent = cluster.network_stats().messages_sent();
+    let values = reader
+        .read_only(&keys, ReadConsistency::BoundedStaleness(64))
+        .expect("verified read through the fallback");
+    let values: Vec<Option<i64>> = values
+        .iter()
+        .map(|v| v.as_ref().and_then(|v| v.as_i64()))
+        .collect();
+    assert_eq!(values, [Some(105), Some(105)]);
+    assert_eq!(cluster.network_stats().messages_sent() - sent, 4);
+    let (target, owner) = (cluster.server_metrics(1), cluster.server_metrics(0));
+    assert_eq!(target.counter("read.refused"), 1);
+    assert_eq!(target.counter("read.serve.owner"), 1);
+    assert_eq!(owner.counter("read.serve.owner"), 1);
+    assert_eq!(reader.take_read_stats().refusals, 1);
+    assert!(cluster.read_evidence().is_empty());
+    assert!(cluster.audit().is_clean());
+    cluster.shutdown();
+}
