@@ -4,16 +4,23 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use fides_crypto::cosi::{self, CollectiveSignature, Witness};
+use fides_crypto::point::FixedBaseTable;
 use fides_crypto::schnorr::{self, BatchItem, KeyPair, PublicKey, Signature};
-use fides_crypto::sha256::Sha256;
+use fides_crypto::sha256::{self, Sha256};
 
 fn bench_sha256(c: &mut Criterion) {
     let mut group = c.benchmark_group("sha256");
+    eprintln!("sha256 backend: {}", sha256::backend_name());
     for size in [64usize, 1024, 65536] {
         let data = vec![0xABu8; size];
         group.throughput(Throughput::Bytes(size as u64));
+        // This CPU's backend (SHA-NI when present) beside the portable
+        // compression it replaces.
         group.bench_function(format!("digest/{size}B"), |b| {
             b.iter(|| Sha256::digest(std::hint::black_box(&data)))
+        });
+        group.bench_function(format!("digest_portable/{size}B"), |b| {
+            b.iter(|| sha256::digest_portable(std::hint::black_box(&data)))
         });
     }
     // 64 Merkle-node-shaped messages (65 bytes: prefix + two child
@@ -53,6 +60,16 @@ fn bench_schnorr(c: &mut Criterion) {
     group.bench_function("sign", |b| b.iter(|| kp.sign(std::hint::black_box(msg))));
     group.bench_function("verify", |b| {
         b.iter(|| kp.public_key().verify(std::hint::black_box(msg), &sig))
+    });
+    // A directory key: two table walks against its prepared table
+    // (built by the first iteration).
+    let prepared = kp.public_key().prepared();
+    group.bench_function("verify_prepared", |b| {
+        b.iter(|| prepared.verify(std::hint::black_box(msg), &sig))
+    });
+    // What a prepared key's first check pays once per process.
+    group.bench_function("table_build", |b| {
+        b.iter(|| FixedBaseTable::new(std::hint::black_box(&kp.public_key().point())))
     });
     // The kept pre-GLV full-width wNAF ladder — the "before" side of
     // BENCH_PR6.json's schnorr_verify entry.
@@ -151,7 +168,7 @@ fn bench_cosi_batch(c: &mut Criterion) {
 fn bench_cosi(c: &mut Criterion) {
     let mut group = c.benchmark_group("cosi");
     group.sample_size(10);
-    for n in [3usize, 5, 9] {
+    for n in [3usize, 4, 5, 9] {
         let keys: Vec<KeyPair> = (0..n).map(|i| KeyPair::from_seed(&[i as u8])).collect();
         let pks: Vec<_> = keys.iter().map(|k| k.public_key()).collect();
         let record = b"block signing bytes";
@@ -182,6 +199,13 @@ fn bench_cosi(c: &mut Criterion) {
         group.bench_function(format!("verify/n={n}"), |b| {
             b.iter(|| sig.verify(std::hint::black_box(record), &pks))
         });
+        if n == 4 {
+            // A cluster's witness set: the aggregate key's table.
+            let prepared: Vec<_> = pks.iter().map(|pk| pk.prepared()).collect();
+            group.bench_function(format!("verify_prepared/n={n}"), |b| {
+                b.iter(|| sig.verify(std::hint::black_box(record), &prepared))
+            });
+        }
     }
     group.finish();
 }

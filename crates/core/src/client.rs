@@ -301,9 +301,9 @@ pub struct ClientSession {
     op_timeout: Duration,
     /// Commit traffic (outcomes/rejections) that arrived while waiting
     /// for an execution-phase response — a pipelined client's earlier
-    /// transactions resolving mid-read. Consumed by
-    /// [`ClientSession::drain_outcomes`].
-    stash: std::collections::VecDeque<Message>,
+    /// transactions resolving mid-read — with the node that signed it.
+    /// Consumed by [`ClientSession::drain_outcomes`].
+    stash: std::collections::VecDeque<(NodeId, Message)>,
     /// Verified-read-plane state (`None` until
     /// [`ClientSession::with_read_context`] attaches it).
     read: Option<ReadContext>,
@@ -484,6 +484,20 @@ impl ClientSession {
         )
     }
 
+    /// The servers whose `EndTxnRejected` this client acts on: the
+    /// fixed leader, or under rotation any server (an end-txn aimed at
+    /// a stale leader estimate is forwarded, and whichever server leads
+    /// its height rejects it). A rejection signed by anyone else — a
+    /// non-leader, another client — is ignored, so a node that guesses
+    /// a sequential handle cannot force retries or drop a commit.
+    fn rejecters(&self) -> Vec<NodeId> {
+        if self.rotate_leaders {
+            (0..self.partitioner.n_servers()).map(server_node).collect()
+        } else {
+            vec![server_node(crate::server::COORDINATOR_IDX)]
+        }
+    }
+
     /// Folds an observed outcome height into the frontier estimate.
     fn note_outcome_height(&mut self, height: u64) {
         self.est_height = self.est_height.max(height + 1);
@@ -638,7 +652,7 @@ impl ClientSession {
                                 Message::Outcome { .. } | Message::EndTxnRejected { .. }
                             ) =>
                         {
-                            self.stash.push_back(*msg);
+                            self.stash.push_back((env.from, *msg));
                         }
                         Err(_) => {}
                     }
@@ -723,6 +737,7 @@ impl ClientSession {
         // One sampling decision per transaction; retries re-send the
         // same context, so the whole retry tail lands in one trace.
         let trace = self.sample_commit();
+        let rejecters = self.rejecters();
         let mut attempts = 0;
         loop {
             attempts += 1;
@@ -745,11 +760,13 @@ impl ClientSession {
                 Outcome(Box<Block>),
                 Rejected(Timestamp),
             }
-            let reply = self.wait_for("transaction outcome", move |_, msg| match msg {
+            let reply = self.wait_for("transaction outcome", |from, msg| match msg {
                 Message::Outcome { handles, block } if handles.contains(&handle) => {
                     Ok(Reply::Outcome(Box::new(block)))
                 }
-                Message::EndTxnRejected { handle: h, hint } if h == handle => {
+                Message::EndTxnRejected { handle: h, hint }
+                    if h == handle && rejecters.contains(&from) =>
+                {
                     Ok(Reply::Rejected(hint))
                 }
                 other => Err(Box::new(other)),
@@ -803,10 +820,9 @@ impl ClientSession {
     }
 
     /// Receives until at least one authenticated message is available,
-    /// draining the transport in bursts whose signatures are verified
-    /// with **one** batched check
-    /// ([`fides_net::Endpoint::recv_verified_burst`]). Each message
-    /// comes with the node that signed it.
+    /// draining the transport in bursts whose signatures are checked
+    /// on arrival ([`fides_net::Endpoint::recv_verified_burst`]). Each
+    /// message comes with the node that signed it.
     fn recv_auth_burst(
         &mut self,
         deadline: Instant,
@@ -894,7 +910,7 @@ impl ClientSession {
                         }
                     }
                     msg @ (Message::Outcome { .. } | Message::EndTxnRejected { .. }) => {
-                        self.stash.push_back(msg);
+                        self.stash.push_back((from, msg));
                     }
                     _ => {}
                 }
@@ -986,7 +1002,7 @@ impl ClientSession {
                         acks.entry(key).or_insert(old);
                     }
                     msg @ (Message::Outcome { .. } | Message::EndTxnRejected { .. }) => {
-                        self.stash.push_back(msg);
+                        self.stash.push_back((from, msg));
                     }
                     _ => {}
                 }
@@ -1062,13 +1078,14 @@ impl ClientSession {
         deadline: Instant,
     ) -> Vec<UnverifiedOutcome> {
         let mut resolved = Vec::new();
-        let mut queue: Vec<Message> = Vec::new();
+        let mut queue: Vec<(NodeId, Message)> = Vec::new();
+        let rejecters = self.rejecters();
         while !pending.is_empty() {
             // Commit traffic stashed during execution-phase waits first,
             // then bursts off the wire (signatures batch-verified —
             // a block's outcomes land together after the covering
             // fsync, so bursts are the common case).
-            let msg = if let Some(msg) = self.stash.pop_front() {
+            let (from, msg) = if let Some(msg) = self.stash.pop_front() {
                 msg
             } else if let Some(msg) = queue.pop() {
                 msg
@@ -1077,9 +1094,10 @@ impl ClientSession {
                     break;
                 }
                 match self.recv_auth_burst(deadline) {
-                    Ok(messages) => {
+                    Ok(mut messages) => {
                         // Reversed: pop() restores arrival order.
-                        queue = messages.into_iter().rev().map(|(_, msg)| msg).collect();
+                        messages.reverse();
+                        queue = messages;
                         continue;
                     }
                     Err(_) => break,
@@ -1103,7 +1121,7 @@ impl ClientSession {
                         }
                     }
                 }
-                Message::EndTxnRejected { handle, hint } => {
+                Message::EndTxnRejected { handle, hint } if rejecters.contains(&from) => {
                     if let Some(commit) = pending.iter_mut().find(|p| p.handle == handle) {
                         self.oracle.advance_to(hint.counter());
                         commit.attempts += 1;
@@ -1208,6 +1226,11 @@ impl ClientSession {
     /// [`ReadEvidence`] for the audit; honest refusals (repairing, no
     /// mirror, too stale) retarget silently.
     ///
+    /// The whole read shares one op-timeout. Each server asked gets a
+    /// share of what remains of it, split over the servers still left
+    /// to try, so an unresponsive target costs part of the budget, not
+    /// all of it.
+    ///
     /// # Errors
     ///
     /// [`ClientError::NoReadContext`] without a read context; timeout/
@@ -1230,10 +1253,11 @@ impl ClientSession {
                 None => groups.push((shard, vec![key.clone()])),
             }
         }
+        let deadline = Instant::now() + self.op_timeout;
         let mut resolved: HashMap<Key, Option<Value>> = HashMap::new();
-        for idx in self.read_groups(&groups, consistency, &mut resolved)? {
+        for idx in self.read_groups(&groups, consistency, deadline, &mut resolved)? {
             let (shard, group) = &groups[idx];
-            let verified = self.read_shard(*shard, group, consistency)?;
+            let verified = self.read_shard(*shard, group, consistency, deadline)?;
             for (key, value) in group.iter().zip(verified.values) {
                 resolved.insert(key.clone(), value);
             }
@@ -1246,15 +1270,22 @@ impl ClientSession {
 
     /// The fast path of [`ClientSession::read_only`]: one
     /// `SnapshotRead` per planned target, carrying every group planned
-    /// for it, all outstanding at once. Verified groups land in
-    /// `resolved`; the returned indices need the per-shard fallback.
+    /// for it, all outstanding at once. The targets are each group's
+    /// first candidate, so they wait for one candidate's share of the
+    /// read's `deadline`. Verified groups land in `resolved`; the
+    /// returned indices need the per-shard fallback.
     fn read_groups(
         &mut self,
         groups: &[(u32, Vec<Key>)],
         consistency: ReadConsistency,
+        deadline: Instant,
         resolved: &mut std::collections::HashMap<Key, Option<Value>>,
     ) -> Result<Vec<usize>, ClientError> {
         let n = self.partitioner.n_servers();
+        let candidates = match consistency {
+            ReadConsistency::Fresh => 1,
+            _ => n,
+        };
         let ctx = self.read.as_mut().expect("checked by caller");
         let start = ctx.next_rotation(n);
         // (target, its group indices).
@@ -1279,7 +1310,7 @@ impl ClientSession {
                 (req, target, idxs)
             })
             .collect();
-        let deadline = Instant::now() + self.op_timeout;
+        let deadline = candidate_deadline(deadline, candidates);
         let mut fallback: Vec<usize> = Vec::new();
         while !outstanding.is_empty() {
             // Only the asked server's response counts: another server
@@ -1428,12 +1459,15 @@ impl ClientSession {
     }
 
     /// One shard's read: candidate servers tried round-robin (owner
-    /// only under `Fresh`), cycling until success or the op-timeout.
+    /// only under `Fresh`), cycling until success or `deadline`. Each
+    /// candidate waits for its share of the time left: the remainder
+    /// split over the candidates not yet tried in this cycle.
     fn read_shard(
         &mut self,
         shard: u32,
         keys: &[Key],
         consistency: ReadConsistency,
+        deadline: Instant,
     ) -> Result<VerifiedRead, ClientError> {
         let n = self.partitioner.n_servers();
         let candidates: Vec<u32> = match consistency {
@@ -1446,7 +1480,6 @@ impl ClientSession {
                 ctx.eligible(shard, start, n).collect()
             }
         };
-        let deadline = Instant::now() + self.op_timeout;
         let mut last_refusal: Option<ReadRefusal> = None;
         let mut last_fault: Option<ReadFault> = None;
         loop {
@@ -1455,11 +1488,12 @@ impl ClientSession {
             // deterministic ones (a refuted forgery, no mirror held)
             // are not — retrying would only spin out the op-timeout.
             let mut transient = false;
-            for &target in &candidates {
+            for (tried, &target) in candidates.iter().enumerate() {
                 if Instant::now() >= deadline {
                     break;
                 }
-                match self.try_read_from(target, shard, keys, consistency, deadline)? {
+                let share = candidate_deadline(deadline, (candidates.len() - tried) as u32);
+                match self.try_read_from(target, shard, keys, consistency, share)? {
                     ReadAttempt::Ok(verified) => return Ok(verified),
                     ReadAttempt::Refused(reason) => {
                         transient |= !matches!(reason, ReadRefusal::NoSnapshot);
@@ -1591,6 +1625,14 @@ impl ClientSession {
     }
 }
 
+/// The deadline for the next of `candidates` servers still to try
+/// before `deadline`: an equal share of the time left, so one
+/// unresponsive server cannot use up the others' time.
+fn candidate_deadline(deadline: Instant, candidates: u32) -> Instant {
+    let now = Instant::now();
+    now + deadline.saturating_duration_since(now) / candidates.max(1)
+}
+
 impl core::fmt::Debug for ClientSession {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         write!(f, "ClientSession(id={}, seq={})", self.id, self.seq)
@@ -1625,6 +1667,8 @@ mod tests {
     struct Played {
         _net: Network,
         servers: Vec<(KeyPair, Endpoint)>,
+        /// Another client of the directory (`fides-client-1`).
+        outsider: (KeyPair, Endpoint),
         shards: Vec<AuthenticatedShard>,
         evidence: Arc<parking_lot::Mutex<Vec<ReadEvidence>>>,
     }
@@ -1639,8 +1683,13 @@ mod tests {
                 })
                 .collect();
             let client_kp = KeyPair::from_seed(b"fides-client-0");
+            let outsider = (
+                KeyPair::from_seed(b"fides-client-1"),
+                net.register(client_node(1)),
+            );
             let mut directory: HashMap<NodeId, PublicKey> = servers
                 .iter()
+                .chain([&outsider])
                 .map(|(kp, ep)| (ep.node(), kp.public_key()))
                 .collect();
             directory.insert(client_node(0), client_kp.public_key());
@@ -1671,6 +1720,7 @@ mod tests {
             let played = Played {
                 _net: net,
                 servers,
+                outsider,
                 shards,
                 evidence,
             };
@@ -1690,6 +1740,20 @@ mod tests {
         fn reply(&self, s: u32, msg: &Message) {
             let (kp, ep) = &self.servers[s as usize];
             ep.send(Envelope::sign(kp, ep.node(), client_node(0), msg.encode()));
+        }
+
+        /// The other client sends `msg` to the client.
+        fn reply_as_outsider(&self, msg: &Message) {
+            let (kp, ep) = &self.outsider;
+            ep.send(Envelope::sign(kp, ep.node(), client_node(0), msg.encode()));
+        }
+
+        /// The end-txn the leader (server 0) receives next.
+        fn recv_end_txn(&self) -> (TxnHandle, TxnRecord) {
+            match self.recv(0) {
+                Message::EndTxn { handle, record } => (handle, record),
+                other => panic!("expected an end-txn at the leader, got {other:?}"),
+            }
         }
 
         /// An honest genesis-anchored read of `keys` from `shard`.
@@ -1858,6 +1922,75 @@ mod tests {
                 wts: old.2,
             }]
         );
+    }
+
+    /// A commit's handle is sequential, so any node can guess it. A
+    /// rejection counts only from a server that may reject the commit:
+    /// the fixed leader, or any server under rotation. Forged ones — a
+    /// non-leader's, another client's — force no retry, lend the
+    /// oracle no timestamp and use up none of the 16 attempts.
+    #[test]
+    fn rejections_are_taken_only_from_servers() {
+        let forged_hint = Timestamp::new(1_000_000, 2);
+        let reject = |handle, hint| Message::EndTxnRejected { handle, hint };
+
+        // Fixed leader, synchronous commit: each attempt meets forged
+        // rejections first, then the leader's. The commit gives up
+        // after exactly 16 attempts, none past the forged hint.
+        let (played, mut client) = Played::start();
+        let txn = client.begin();
+        let committer = std::thread::spawn(move || client.commit(txn));
+        for attempt in 1..=16u64 {
+            let (handle, record) = played.recv_end_txn();
+            assert!(
+                record.id < forged_hint,
+                "attempt {attempt}: {:?}",
+                record.id
+            );
+            played.reply(2, &reject(handle, forged_hint));
+            played.reply_as_outsider(&reject(handle, forged_hint));
+            played.reply(0, &reject(handle, Timestamp::new(attempt, 0)));
+        }
+        let result = committer.join().expect("committer thread");
+        assert!(
+            matches!(result, Err(ClientError::RetriesExhausted)),
+            "{result:?}"
+        );
+        assert!(played.servers[0].1.try_recv().is_none());
+
+        // Fixed leader, pipelined: 16 forged rejections leave the commit
+        // pending on its first attempt; the leader's one costs one retry.
+        let (played, mut client) = Played::start();
+        let txn = client.begin();
+        let mut pending = vec![client.commit_async(txn)];
+        let (handle, _) = played.recv_end_txn();
+        for _ in 0..16 {
+            played.reply(2, &reject(handle, forged_hint));
+            played.reply_as_outsider(&reject(handle, forged_hint));
+        }
+        played.reply(0, &reject(handle, Timestamp::new(5, 0)));
+        let deadline = Instant::now() + Duration::from_millis(300);
+        assert!(client.drain_outcomes(&mut pending, deadline).is_empty());
+        assert_eq!(pending.len(), 1, "a forged rejection dropped the commit");
+        assert_eq!(pending[0].attempts, 2);
+        let (_, record) = played.recv_end_txn();
+        assert!(record.id < forged_hint, "{:?}", record.id);
+        assert!(played.servers[0].1.try_recv().is_none());
+
+        // Under rotation the server leading the height may be any
+        // server; another client still may not reject.
+        let (played, client) = Played::start();
+        let mut client = client.with_rotation(true);
+        let txn = client.begin();
+        let mut pending = vec![client.commit_async(txn)];
+        let (handle, _) = played.recv_end_txn();
+        played.reply_as_outsider(&reject(handle, forged_hint));
+        played.reply(2, &reject(handle, Timestamp::new(5, 0)));
+        let deadline = Instant::now() + Duration::from_millis(300);
+        assert!(client.drain_outcomes(&mut pending, deadline).is_empty());
+        assert_eq!(pending[0].attempts, 2);
+        let (_, record) = played.recv_end_txn();
+        assert!(record.id < forged_hint, "{:?}", record.id);
     }
 
     #[test]

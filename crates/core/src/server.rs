@@ -616,8 +616,8 @@ pub struct Server {
     /// block formation.
     batch_deadline: Option<Instant>,
     /// Authenticated messages awaiting dispatch: the transport is
-    /// drained in bursts whose signatures are verified with **one**
-    /// batched check ([`fides_net::verify_envelopes`]), and the decoded
+    /// drained in bursts whose signatures are checked on arrival
+    /// ([`fides_net::Endpoint::recv_verified_burst`]), and the decoded
     /// survivors queue here in arrival order.
     inbox: std::collections::VecDeque<(NodeId, Message, Option<TraceContext>)>,
     /// The in-flight anti-entropy repair, when this server detected a
@@ -1073,10 +1073,10 @@ impl Server {
     }
 
     /// The next authenticated message: pops the pre-verified inbox, or
-    /// drains a burst from the transport and batch-verifies its
-    /// signatures ([`fides_net::Endpoint::recv_verified_burst`] — one
-    /// batched check with per-envelope fallback, so only forgeries
-    /// drop; undecodable payloads are discarded, §3.1).
+    /// drains a burst from the transport and verifies its signatures
+    /// ([`fides_net::Endpoint::recv_verified_burst`] — each envelope
+    /// against its sender's prepared key, so only forgeries drop;
+    /// undecodable payloads are discarded, §3.1).
     fn next_message(
         &mut self,
         deadline: Instant,

@@ -236,18 +236,25 @@ impl FidesCluster {
         let server_kps: Vec<KeyPair> = (0..config.n_servers)
             .map(|i| KeyPair::from_seed(format!("fides-server-{i}").as_bytes()))
             .collect();
-        let server_pks: Vec<PublicKey> = server_kps.iter().map(|k| k.public_key()).collect();
+        // Every directory key is prepared: the process builds its
+        // verification table on its first check and keeps it for every
+        // cluster it starts (`docs/crypto.md`, "Per-signer tables").
+        // The witness set's aggregate key gets one the same way.
+        let server_pks: Vec<PublicKey> = server_kps
+            .iter()
+            .map(|k| k.public_key().prepared())
+            .collect();
         let admin_kp = KeyPair::from_seed(b"fides-admin");
 
         let mut directory: HashMap<NodeId, PublicKey> = HashMap::new();
-        for (i, kp) in server_kps.iter().enumerate() {
-            directory.insert(server_node(i as u32), kp.public_key());
+        for (i, pk) in server_pks.iter().enumerate() {
+            directory.insert(server_node(i as u32), *pk);
         }
         for j in 0..config.max_clients {
             let kp = KeyPair::from_seed(format!("fides-client-{j}").as_bytes());
-            directory.insert(client_node(j), kp.public_key());
+            directory.insert(client_node(j), kp.public_key().prepared());
         }
-        directory.insert(admin_node(), admin_kp.public_key());
+        directory.insert(admin_node(), admin_kp.public_key().prepared());
         let directory: Directory = Arc::new(directory);
 
         // Shards and the partition map.

@@ -59,6 +59,21 @@ fn traced_commit_assembles_cross_server_span_tree() {
     cluster
         .settle(Duration::from_secs(5))
         .expect("logs converge");
+    // The coordinator closes its round after the outcome has gone out,
+    // so the client (and the logs) can be done first: wait for the
+    // round span before reading the coordinator's spans and histograms.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !cluster
+        .dump_traces()
+        .iter()
+        .any(|s| s.name == "commit.round")
+    {
+        assert!(
+            Instant::now() < deadline,
+            "the coordinator never closed its round"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
     // Read the coordinator's stage histograms before shutdown: with
     // one commit and `batch_size(1)` there was exactly one round, so
     // each histogram's sum is that round's single stage lap.

@@ -760,3 +760,31 @@ fn refused_part_falls_back_per_shard_without_evidence() {
     assert!(cluster.audit().is_clean());
     cluster.shutdown();
 }
+
+#[test]
+fn dead_read_target_costs_a_share_of_the_op_timeout() {
+    let mut cluster = FidesCluster::start(ClusterConfig::new(4).items_per_shard(8));
+    // Client 1's rotation starts at server 1: its first bounded read
+    // asks the dead server for every shard.
+    let victim = 1u32;
+    cluster.crash_server(victim);
+    let keys: Vec<Key> = [0, 2, 3].iter().map(|&s| cluster.key_of(s, 1)).collect();
+    let mut reader = cluster.client(1);
+    let op_timeout = Duration::from_secs(1);
+    reader.set_op_timeout(op_timeout);
+    // Each later read starts its rotation elsewhere, so the dead server
+    // is met first by the fast path or by a per-shard fallback. Either
+    // way it costs one candidate's share of the op-timeout, and every
+    // read completes within the op-timeout.
+    for i in 0..6 {
+        let t0 = Instant::now();
+        let values = reader
+            .read_only(&keys, ReadConsistency::BoundedStaleness(64))
+            .unwrap_or_else(|e| panic!("read {i}: {e}"));
+        let took = t0.elapsed();
+        assert!(took < op_timeout, "read {i} took {took:?}");
+        assert!(values.iter().all(Option::is_some), "read {i}: {values:?}");
+    }
+    assert!(cluster.read_evidence().is_empty());
+    cluster.shutdown();
+}

@@ -187,16 +187,26 @@ impl CollectiveSignature {
     /// single signature."
     ///
     /// Like [`PublicKey::verify`](crate::schnorr::PublicKey::verify),
-    /// the check `s·G == X + c·ΣPᵢ` runs as one Strauss–Shamir
-    /// double-scalar multiplication `s·G + (−c)·ΣPᵢ == X`.
+    /// the check `s·G == X + c·ΣPᵢ` runs as one double-scalar
+    /// multiplication `s·G + (−c)·ΣPᵢ == X`. When every key is
+    /// [prepared](PublicKey::prepared) — a cluster's witness set — the
+    /// aggregate `ΣPᵢ` is prepared too, so it gets its own process-wide
+    /// table on the set's first check and the check is two table walks;
+    /// otherwise it is one Strauss–Shamir ladder.
     pub fn verify(&self, record: &[u8], public_keys: &[PublicKey]) -> bool {
         if public_keys.is_empty() {
             return false;
         }
         let c = challenge(&self.aggregate_commitment, record);
+        let (s, minus_c) = (&self.aggregate_response, &(-c));
         let agg_pk = aggregate_public_keys(public_keys.iter());
-        Point::mul_shamir_generator(&self.aggregate_response, &(-c), &agg_pk)
-            == self.aggregate_commitment
+        let lhs = match PublicKey::from_point(agg_pk) {
+            Some(aggregate) if public_keys.iter().all(PublicKey::is_prepared) => {
+                aggregate.prepared().mul_with_generator(s, minus_c)
+            }
+            _ => Point::mul_shamir_generator(s, minus_c, &agg_pk),
+        };
+        lhs == self.aggregate_commitment
     }
 
     /// A placeholder (all-zero) signature for blocks still under
@@ -521,6 +531,30 @@ mod tests {
     fn empty_key_set_rejected() {
         let (_, sig) = run_round(2, b"x");
         assert!(!sig.verify(b"x", &[]));
+    }
+
+    #[test]
+    fn prepared_witness_set_verifies_through_its_aggregate_table() {
+        // Keys no other test prepares: the registry is process-wide.
+        let keys: Vec<KeyPair> = (0..4).map(|i| KeyPair::from_seed(&[i, 0xD0])).collect();
+        let (records, sigs) = signed_batch(1, &keys);
+        let (record, sig) = (records[0].as_slice(), sigs[0]);
+        let plain: Vec<_> = keys.iter().map(|k| k.public_key()).collect();
+        let prepared: Vec<_> = plain.iter().map(|pk| pk.prepared()).collect();
+        let aggregate = PublicKey::from_point(aggregate_public_keys(&plain))
+            .unwrap()
+            .prepared();
+        // Plain members take the ladder and build nothing.
+        assert!(sig.verify(record, &plain));
+        assert!(!aggregate.table_is_built());
+        assert!(sig.verify(record, &prepared));
+        assert!(!sig.verify(b"another record", &prepared));
+        // A subset is a different witness set with a different aggregate.
+        assert!(!sig.verify(record, &prepared[1..]));
+        // The aggregate gets a table; the members, never checked alone,
+        // do not.
+        assert!(aggregate.table_is_built());
+        assert!(prepared.iter().all(|pk| !pk.table_is_built()));
     }
 
     #[test]

@@ -17,7 +17,11 @@
 //!   Schnorr/CoSi verification),
 //! * [`Point::multi_mul`] — `Σ aᵢ·Pᵢ` over an arbitrary term list with
 //!   batch-normalized per-point odd-multiple tables (the shape of batch
-//!   signature verification).
+//!   signature verification),
+//! * [`FixedBaseTable`] and [`Point::mul_generator_and_table`] — an
+//!   8-bit-window table of one point's multiples, so `a·G + b·P`
+//!   against a key verified again and again is two table walks and no
+//!   doublings.
 
 use core::fmt;
 use core::ops::{Add, Neg};
@@ -189,14 +193,23 @@ impl Point {
     /// every table hit is a mixed addition. Signing and nonce
     /// commitments go through this path.
     pub fn mul_generator(k: &Scalar) -> Point {
-        let table = generator_table();
-        let bytes = k.to_be_bytes(); // big-endian: bytes[31] is window 0
+        generator_table().mul(k)
+    }
+
+    /// `a·G + b·P` for a `P` with a precomputed [`FixedBaseTable`]: the
+    /// generator's and `P`'s tables walked side by side, at most 64
+    /// mixed additions into one accumulator and no doublings — the
+    /// shape of a Schnorr/CoSi check `s·G − e·P = R` against a prepared
+    /// key. Equal to [`Point::mul_shamir_generator`] on `P` itself,
+    /// which stays the path for keys without a table.
+    pub fn mul_generator_and_table(a: &Scalar, b: &Scalar, table: &FixedBaseTable) -> Point {
+        let generator = generator_table();
+        // Big-endian: byte 31 is window 0.
+        let (a, b) = (a.to_be_bytes(), b.to_be_bytes());
         let mut acc = Point::IDENTITY;
-        for (w, byte) in bytes.iter().rev().enumerate() {
-            let d = *byte as usize;
-            if d != 0 {
-                acc = acc.add_affine(&table[w * 256 + d]);
-            }
+        for w in 0..WINDOWS {
+            acc = generator.add_digit(acc, w, a[31 - w]);
+            acc = table.add_digit(acc, w, b[31 - w]);
         }
         acc
     }
@@ -879,19 +892,35 @@ impl core::ops::Mul<Scalar> for Point {
     }
 }
 
-/// The fixed-base window table, flat-indexed as `[w * 256 + d]` =
-/// `d · 256^w · G`, stored as batch-normalized **affine** points so
-/// `mul_generator` uses mixed (Jacobian+affine) additions.
+/// Number of 8-bit windows in a 256-bit scalar.
+const WINDOWS: usize = 32;
+
+/// A fixed-base window table of one point `P`, flat-indexed as
+/// `[w * 256 + d]` = `d · 256^w · P` and stored as batch-normalized
+/// **affine** points, so `k·P` is one mixed addition per non-zero byte
+/// of `k` — at most 32 and no doublings.
 ///
-/// ~528 KiB, built once on first use (≈ 8k point additions plus one
-/// field inversion for the whole normalization).
-fn generator_table() -> &'static [AffinePoint] {
-    use std::sync::OnceLock;
-    static TABLE: OnceLock<Box<[AffinePoint]>> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut jacobian = Vec::with_capacity(32 * 256);
-        let mut base = Point::generator(); // 256^w · G
-        for _ in 0..32 {
+/// The generator's table backs [`Point::mul_generator`] (signing,
+/// nonce commitments); a key verified again and again gets its own,
+/// so a check `s·G − e·P = R` is two table walks
+/// ([`Point::mul_generator_and_table`]). A table is
+/// [`FixedBaseTable::BYTES`] (576 KiB) and costs about 8k point
+/// additions plus one shared field inversion to build.
+pub struct FixedBaseTable {
+    entries: Box<[AffinePoint]>,
+}
+
+impl FixedBaseTable {
+    /// Bytes one table holds: 32 windows × 256 affine points.
+    pub const BYTES: usize = WINDOWS * 256 * core::mem::size_of::<AffinePoint>();
+
+    /// Builds `P`'s table: per window, 255 Jacobian additions, then one
+    /// batch normalization (a single field inversion) for all 8192
+    /// entries.
+    pub fn new(p: &Point) -> FixedBaseTable {
+        let mut jacobian = Vec::with_capacity(WINDOWS * 256);
+        let mut base = *p; // 256^w · P
+        for _ in 0..WINDOWS {
             let window_start = jacobian.len();
             jacobian.push(Point::IDENTITY);
             for d in 1..256 {
@@ -901,8 +930,41 @@ fn generator_table() -> &'static [AffinePoint] {
             // base <<= 8 bits.
             base = jacobian[window_start + 255] + base;
         }
-        Point::batch_normalize(&jacobian).into_boxed_slice()
-    })
+        FixedBaseTable {
+            entries: Point::batch_normalize(&jacobian).into_boxed_slice(),
+        }
+    }
+
+    /// `k·P`.
+    pub fn mul(&self, k: &Scalar) -> Point {
+        let bytes = k.to_be_bytes(); // big-endian: bytes[31] is window 0
+        (0..WINDOWS).fold(Point::IDENTITY, |acc, w| {
+            self.add_digit(acc, w, bytes[31 - w])
+        })
+    }
+
+    /// `acc + digit · 256^window · P`.
+    #[inline]
+    fn add_digit(&self, acc: Point, window: usize, digit: u8) -> Point {
+        if digit == 0 {
+            acc
+        } else {
+            acc.add_affine(&self.entries[window * 256 + digit as usize])
+        }
+    }
+}
+
+impl fmt::Debug for FixedBaseTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "FixedBaseTable({:?})", self.entries[1].to_point())
+    }
+}
+
+/// The generator's [`FixedBaseTable`], built once on first use.
+fn generator_table() -> &'static FixedBaseTable {
+    use std::sync::OnceLock;
+    static TABLE: OnceLock<FixedBaseTable> = OnceLock::new();
+    TABLE.get_or_init(|| FixedBaseTable::new(&Point::generator()))
 }
 
 /// Width of the generator wNAF digits used by the Strauss–Shamir path.
@@ -1320,6 +1382,43 @@ mod tests {
             let expect = Point::mul_generator(&a) + p.mul_scalar(&b);
             assert_eq!(Point::mul_shamir_generator(&a, &b, &p), expect);
         }
+    }
+
+    #[test]
+    fn table_walks_match_shamir() {
+        let p = g() * Scalar::from_u64(4_242_424_242);
+        let table = FixedBaseTable::new(&p);
+        let cases = [
+            (Scalar::ZERO, Scalar::ZERO),
+            (Scalar::ONE, Scalar::ZERO),
+            (Scalar::ZERO, Scalar::ONE),
+            (Scalar::from_u64(256), Scalar::from_u64(255)),
+            (-Scalar::ONE, -Scalar::ONE),
+            (
+                Scalar::from_be_bytes_reduced(&[0xA7; 32]),
+                -Scalar::from_be_bytes_reduced(&[0x3C; 32]),
+            ),
+        ];
+        for (a, b) in cases {
+            assert_eq!(table.mul(&b), p.mul_scalar(&b), "b={b:?}");
+            assert_eq!(
+                Point::mul_generator_and_table(&a, &b, &table),
+                Point::mul_generator(&a) + p.mul_scalar(&b),
+                "a={a:?} b={b:?}"
+            );
+        }
+        // Adding P to a multiple that cancels it, and doubling through
+        // a table hit, both go through the mixed-addition fallbacks.
+        let table_g = FixedBaseTable::new(&g());
+        assert!(
+            Point::mul_generator_and_table(&Scalar::ONE, &-Scalar::ONE, &table_g).is_identity()
+        );
+        assert_eq!(
+            Point::mul_generator_and_table(&Scalar::ONE, &Scalar::ONE, &table_g),
+            g().double()
+        );
+        // The size docs/crypto.md states: 8192 entries of 72 bytes.
+        assert_eq!(FixedBaseTable::BYTES, 589_824);
     }
 
     #[test]

@@ -13,12 +13,25 @@
 //!
 //! Nonces are derived deterministically with HMAC-SHA256 (RFC 6979
 //! spirit), so signing never needs an RNG and is reproducible in tests.
+//!
+//! # Prepared keys
+//!
+//! A key the process verifies again and again — a directory entry —
+//! can be [prepared](PublicKey::prepared): on its first check a
+//! [`FixedBaseTable`] of its multiples is built and kept for the life
+//! of the process, and every check against it walks that table instead
+//! of running the Strauss–Shamir ladder. A table depends only on its
+//! key, so one process-wide registry serves every cluster the process
+//! starts; keys nobody prepared never get one. `cosi` prepares the
+//! aggregate key of a witness set whose members are all prepared.
 
 use core::fmt;
+use std::collections::HashMap;
+use std::sync::{OnceLock, PoisonError, RwLock};
 
 use crate::encoding::{Decodable, DecodeError, Decoder, Encodable, Encoder};
 use crate::hash::Digest;
-use crate::point::Point;
+use crate::point::{FixedBaseTable, Point};
 use crate::scalar::Scalar;
 use crate::sha256::{hmac_sha256, Sha256};
 
@@ -27,8 +40,46 @@ use crate::sha256::{hmac_sha256, Sha256};
 pub struct SecretKey(Scalar);
 
 /// A public verification key (a non-identity curve point).
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub struct PublicKey(Point);
+///
+/// Equality compares the point only: a [prepared](PublicKey::prepared)
+/// copy equals the plain key.
+#[derive(Clone, Copy)]
+pub struct PublicKey {
+    point: Point,
+    /// The process-wide verification table of a prepared key; `None`
+    /// for every other key.
+    signer: Option<&'static SignerTable>,
+}
+
+impl PartialEq for PublicKey {
+    fn eq(&self, other: &PublicKey) -> bool {
+        self.point == other.point
+    }
+}
+
+impl Eq for PublicKey {}
+
+/// A prepared key's [`FixedBaseTable`], built on the key's first check
+/// and kept for the life of the process.
+struct SignerTable {
+    point: Point,
+    table: OnceLock<FixedBaseTable>,
+}
+
+impl SignerTable {
+    /// The table, built on first use (once: other threads checking
+    /// against the key meanwhile wait for it).
+    fn table(&self) -> &FixedBaseTable {
+        self.table.get_or_init(|| FixedBaseTable::new(&self.point))
+    }
+}
+
+/// Every prepared key of this process, by compressed encoding. Entries
+/// are leaked and never removed, one per distinct prepared key.
+fn prepared_keys() -> &'static RwLock<HashMap<[u8; 33], &'static SignerTable>> {
+    static KEYS: OnceLock<RwLock<HashMap<[u8; 33], &'static SignerTable>>> = OnceLock::new();
+    KEYS.get_or_init(Default::default)
+}
 
 /// A Schnorr signature `(R, s)`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -102,18 +153,80 @@ impl PublicKey {
         if p.is_identity() {
             None
         } else {
-            Some(PublicKey(p.normalize()))
+            Some(PublicKey {
+                point: p.normalize(),
+                signer: None,
+            })
         }
     }
 
     /// The underlying curve point.
     pub fn point(&self) -> Point {
-        self.0
+        self.point
     }
 
     /// Compressed 33-byte encoding.
     pub fn to_bytes(self) -> [u8; 33] {
-        self.0.to_compressed_bytes()
+        self.point.to_compressed_bytes()
+    }
+
+    /// This key, marked as one the process verifies again and again
+    /// (a directory entry): on its first check a [`FixedBaseTable`] of
+    /// its multiples is built ([`FixedBaseTable::BYTES`], a few
+    /// milliseconds), and every later check — through this copy or any
+    /// other prepared copy of the same key, in any cluster of the
+    /// process — walks it instead of the Strauss–Shamir ladder.
+    /// Preparing costs one registry lookup; a key never checked never
+    /// builds its table.
+    pub fn prepared(self) -> PublicKey {
+        let bytes = self.to_bytes();
+        let registry = prepared_keys();
+        // Every update is one insert of a leaked entry, so a map whose
+        // lock was poisoned is still whole.
+        let known = registry
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&bytes)
+            .copied();
+        let signer = known.unwrap_or_else(|| {
+            *registry
+                .write()
+                .unwrap_or_else(PoisonError::into_inner)
+                .entry(bytes)
+                .or_insert_with(|| {
+                    Box::leak(Box::new(SignerTable {
+                        point: self.point,
+                        table: OnceLock::new(),
+                    }))
+                })
+        });
+        PublicKey {
+            point: self.point,
+            signer: Some(signer),
+        }
+    }
+
+    /// Whether this copy is [prepared](PublicKey::prepared).
+    pub(crate) fn is_prepared(&self) -> bool {
+        self.signer.is_some()
+    }
+
+    /// Whether this prepared key's table has been built.
+    #[cfg(test)]
+    pub(crate) fn table_is_built(&self) -> bool {
+        self.signer
+            .is_some_and(|signer| signer.table.get().is_some())
+    }
+
+    /// `a·G + b·P` for this key's point `P`: two table walks
+    /// ([`Point::mul_generator_and_table`]) for a prepared key, one
+    /// Strauss–Shamir ladder ([`Point::mul_shamir_generator`]) for any
+    /// other.
+    pub(crate) fn mul_with_generator(&self, a: &Scalar, b: &Scalar) -> Point {
+        match self.signer {
+            Some(signer) => Point::mul_generator_and_table(a, b, signer.table()),
+            None => Point::mul_shamir_generator(a, b, &self.point),
+        }
     }
 
     /// Decodes and validates a compressed public key.
@@ -129,16 +242,17 @@ impl PublicKey {
     /// Verifies a signature over `message`.
     ///
     /// The check `s·G == R + e·P` is evaluated as the double-scalar
-    /// multiplication `s·G + (−e)·P == R` via
-    /// [`Point::mul_shamir_generator`], sharing a single doubling
-    /// ladder between both scalars instead of performing two
+    /// multiplication `s·G + (−e)·P == R`. A
+    /// [prepared](PublicKey::prepared) key walks its own table; any
+    /// other key runs [`Point::mul_shamir_generator`], sharing a single
+    /// doubling ladder between both scalars instead of performing two
     /// independent full-width multiplications.
     pub fn verify(&self, message: &[u8], sig: &Signature) -> bool {
         if sig.r.is_identity() {
             return false;
         }
         let e = challenge_scalar(&sig.r, self, message);
-        Point::mul_shamir_generator(&sig.s, &(-e), &self.0) == sig.r
+        self.mul_with_generator(&sig.s, &(-e)) == sig.r
     }
 
     /// [`PublicKey::verify`] evaluated over the pre-GLV wNAF ladder
@@ -151,7 +265,7 @@ impl PublicKey {
             return false;
         }
         let e = challenge_scalar(&sig.r, self, message);
-        Point::mul_shamir_generator_wnaf(&sig.s, &(-e), &self.0) == sig.r
+        Point::mul_shamir_generator_wnaf(&sig.s, &(-e), &self.point) == sig.r
     }
 
     /// A short identifier (first hex bytes of the key) for diagnostics.
@@ -524,6 +638,44 @@ mod tests {
     fn secret_key_debug_redacted() {
         let kp = KeyPair::from_seed(b"secret");
         assert_eq!(format!("{:?}", kp.secret_key()), "SecretKey(redacted)");
+    }
+
+    #[test]
+    fn prepared_key_builds_its_table_once() {
+        let kp = KeyPair::from_seed(b"prepared-once");
+        let plain = kp.public_key();
+        let first = plain.prepared();
+        // A second preparation — say, by another cluster — and a copy
+        // decoded from the wire share the one registry entry, so the
+        // one table.
+        let second = PublicKey::from_bytes(&plain.to_bytes()).unwrap().prepared();
+        let (a, b) = (first.signer.unwrap(), second.signer.unwrap());
+        assert!(core::ptr::eq(a, b));
+        assert_eq!(first, plain);
+        assert!(!first.table_is_built(), "preparing builds nothing");
+        for i in 0..4u8 {
+            let msg = [i; 9];
+            let sig = kp.sign(&msg);
+            assert!(first.verify(&msg, &sig));
+            assert!(second.verify(&msg, &sig));
+            assert!(!second.verify(b"other", &sig));
+        }
+        assert!(first.table_is_built());
+        assert!(core::ptr::eq(a.table(), b.table()));
+    }
+
+    #[test]
+    fn unprepared_key_never_gets_a_table() {
+        let kp = KeyPair::from_seed(b"never-prepared");
+        let pk = kp.public_key();
+        let sig = kp.sign(b"m");
+        for _ in 0..3 {
+            assert!(pk.verify(b"m", &sig));
+        }
+        assert!(!pk.is_prepared());
+        assert!(!PublicKey::from_bytes(&pk.to_bytes()).unwrap().is_prepared());
+        let registry = prepared_keys().read().unwrap();
+        assert!(!registry.contains_key(&pk.to_bytes()));
     }
 
     #[test]

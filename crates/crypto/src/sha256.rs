@@ -6,14 +6,28 @@
 //! requires a one-way, collision-resistant hash; SHA-256 is the natural
 //! concrete choice.
 //!
-//! Besides the streaming [`Sha256`] hasher there is a **multi-lane**
-//! batch API, [`Sha256::digest_many`], which compresses 4 or 8
-//! independent messages per pass through the round schedule. SHA-256's
-//! long add-rotate-xor dependency chain leaves most of a superscalar
-//! core idle on a single message; interleaving independent lanes in
+//! # Backends
+//!
+//! The compression function is chosen once per process from CPU
+//! features alone:
+//!
+//! * **SHA-NI** — on x86-64 CPUs that advertise the `sha` extension
+//!   (with SSSE3 and SSE4.1), every block is compressed by the
+//!   `sha256rnds2`/`sha256msg1`/`sha256msg2` instructions, about 8×
+//!   faster per block than the portable code.
+//! * **Portable** — the FIPS 180-4 round function in plain Rust,
+//!   everywhere else. It stays the differential reference for the
+//!   hardware path ([`compress_portable`], [`digest_portable`]).
+//!
+//! Besides the streaming [`Sha256`] hasher there is a batch API,
+//! [`Sha256::digest_many`]. With SHA-NI it hashes the messages one
+//! after another. Without it, it compresses 4 or 8 independent
+//! messages per pass through the round schedule: SHA-256's long
+//! add-rotate-xor dependency chain leaves most of a superscalar core
+//! idle on a single message, and interleaving independent lanes in
 //! structure-of-arrays form fills those slots (and auto-vectorizes),
 //! so hashing `N` short messages — Merkle node hashes, batch Schnorr
-//! challenges — costs far less than `N` sequential digests.
+//! challenges — costs far less than `N` sequential portable digests.
 //!
 //! # Example
 //!
@@ -98,35 +112,19 @@ impl Sha256 {
         h.finalize()
     }
 
-    /// Hash a batch of independent messages, interleaving 4 or 8 of
-    /// them per pass through the compression function (see the module
-    /// docs). The result is element-wise identical to calling
-    /// [`Sha256::digest`] on each message.
+    /// Hash a batch of independent messages. The result is element-wise
+    /// identical to calling [`Sha256::digest`] on each message.
     ///
-    /// The lane width is chosen at runtime: 8 when the CPU advertises
-    /// AVX2 (x86-64), 4 otherwise, overridable with the
-    /// `FIDES_SHA_LANES` environment variable (`1`, `4` or `8`; `1`
-    /// forces the scalar path, which the differential tests use).
+    /// With SHA-NI each message is hashed in turn by the hardware
+    /// compression, which beats lane interleaving. Otherwise 8 messages
+    /// (with AVX2) or 4 share each pass through the portable round
+    /// function (see the module docs).
     pub fn digest_many(messages: &[&[u8]]) -> Vec<Digest> {
-        let lanes = lane_width();
-        let mut out = Vec::with_capacity(messages.len());
-        let mut rest = messages;
-        if lanes >= 8 {
-            while rest.len() >= 8 {
-                let (chunk, tail) = rest.split_at(8);
-                out.extend_from_slice(&digest_lanes::<8>(chunk.try_into().expect("8 lanes")));
-                rest = tail;
-            }
+        match backend() {
+            Backend::ShaNi => messages.iter().map(|m| Sha256::digest(m)).collect(),
+            Backend::Lanes8 => digest_many_lanes::<8>(messages),
+            Backend::Lanes4 => digest_many_lanes::<4>(messages),
         }
-        if lanes >= 4 {
-            while rest.len() >= 4 {
-                let (chunk, tail) = rest.split_at(4);
-                out.extend_from_slice(&digest_lanes::<4>(chunk.try_into().expect("4 lanes")));
-                rest = tail;
-            }
-        }
-        out.extend(rest.iter().map(|m| Sha256::digest(m)));
-        out
     }
 
     /// Absorb `data` into the hash state.
@@ -140,17 +138,16 @@ impl Sha256 {
             self.buffered += take;
             input = &input[take..];
             if self.buffered == 64 {
-                compress_block(&mut self.state, &self.buffer);
+                compress_blocks(&mut self.state, &self.buffer);
                 self.buffered = 0;
             }
         }
-        // Whole blocks compress straight from the input, no staging copy.
-        while input.len() >= 64 {
-            compress_block(
-                &mut self.state,
-                input[..64].try_into().expect("64-byte block"),
-            );
-            input = &input[64..];
+        // Whole blocks compress straight from the input, no staging
+        // copy, in one backend call.
+        let whole = input.len() - input.len() % 64;
+        if whole > 0 {
+            compress_blocks(&mut self.state, &input[..whole]);
+            input = &input[whole..];
         }
         // Stash the tail.
         if !input.is_empty() {
@@ -162,34 +159,96 @@ impl Sha256 {
     /// Apply padding and produce the final digest, consuming the hasher.
     pub fn finalize(mut self) -> Digest {
         let bit_len = self.length.wrapping_mul(8);
-        // Padding written in place: 0x80, zeros, and the 64-bit length —
-        // one compression when the tail leaves ≥ 8 spare bytes, two
-        // otherwise.
+        // Padding: 0x80, zeros, and the 64-bit length — one block when
+        // the tail leaves ≥ 8 spare bytes, two otherwise, compressed in
+        // one backend call.
         let n = self.buffered;
-        self.buffer[n] = 0x80;
-        if n < 56 {
-            self.buffer[n + 1..56].fill(0);
-        } else {
-            self.buffer[n + 1..].fill(0);
-            compress_block(&mut self.state, &self.buffer);
-            self.buffer[..56].fill(0);
-        }
-        self.buffer[56..].copy_from_slice(&bit_len.to_be_bytes());
-        compress_block(&mut self.state, &self.buffer);
-
-        let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
-        }
-        Digest::new(out)
+        let mut tail = [0u8; 128];
+        tail[..n].copy_from_slice(&self.buffer[..n]);
+        tail[n] = 0x80;
+        let len = if n < 56 { 64 } else { 128 };
+        tail[len - 8..len].copy_from_slice(&bit_len.to_be_bytes());
+        compress_blocks(&mut self.state, &tail[..len]);
+        digest_of_state(&self.state)
     }
 }
 
-/// The single-message compression function. A free function over the
-/// state array (rather than a `&mut self` method) so the buffered-block
-/// path can borrow `state` and `buffer` disjointly instead of copying
-/// the block out first.
-fn compress_block(state: &mut [u32; 8], block: &[u8; 64]) {
+/// The big-endian serialization of a final hash state.
+fn digest_of_state(state: &[u32; 8]) -> Digest {
+    let mut out = [0u8; 32];
+    for (word, chunk) in state.iter().zip(out.chunks_exact_mut(4)) {
+        chunk.copy_from_slice(&word.to_be_bytes());
+    }
+    Digest::new(out)
+}
+
+/// Compresses the whole 64-byte blocks of `blocks` into `state` with
+/// this CPU's backend.
+#[inline]
+fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+    debug_assert!(blocks.len().is_multiple_of(64));
+    #[cfg(target_arch = "x86_64")]
+    if backend() == Backend::ShaNi {
+        // SAFETY: `backend()` answers `ShaNi` only after runtime
+        // detection of every feature `shani::compress_blocks` enables.
+        unsafe { shani::compress_blocks(state, blocks) };
+        return;
+    }
+    for block in blocks.chunks_exact(64) {
+        compress_portable(state, block.try_into().expect("64-byte block"));
+    }
+}
+
+/// One 64-byte block through this CPU's compression function (SHA-NI
+/// when present, else [`compress_portable`]).
+#[doc(hidden)]
+pub fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+    compress_blocks(state, block);
+}
+
+/// SHA-256 of `data` through [`compress_portable`] alone, whatever the
+/// CPU offers: the reference the hardware backend is tested and
+/// benchmarked against. Pads with [`padded_block`], independently of
+/// the streaming hasher's padding.
+#[doc(hidden)]
+pub fn digest_portable(data: &[u8]) -> Digest {
+    let mut state = H0;
+    for index in 0..padded_block_count(data.len()) {
+        compress_portable(&mut state, &padded_block(data, index));
+    }
+    digest_of_state(&state)
+}
+
+/// [`Sha256::digest_many`] on a CPU without SHA-NI, whatever this CPU
+/// offers: groups of `L` (8 or 4) messages share each pass through the
+/// portable round function, then groups of 4, then the rest are hashed
+/// one by one. Exposed so the lane code is tested on every CPU.
+#[doc(hidden)]
+pub fn digest_many_lanes<const L: usize>(messages: &[&[u8]]) -> Vec<Digest> {
+    const { assert!(L == 8 || L == 4) };
+    let mut out = Vec::with_capacity(messages.len());
+    let mut rest = messages;
+    if L == 8 {
+        while rest.len() >= 8 {
+            let (chunk, tail) = rest.split_at(8);
+            out.extend_from_slice(&digest_lanes::<8>(chunk.try_into().expect("8 lanes")));
+            rest = tail;
+        }
+    }
+    while rest.len() >= 4 {
+        let (chunk, tail) = rest.split_at(4);
+        out.extend_from_slice(&digest_lanes::<4>(chunk.try_into().expect("4 lanes")));
+        rest = tail;
+    }
+    out.extend(rest.iter().map(|m| Sha256::digest(m)));
+    out
+}
+
+/// The portable single-message compression function (FIPS 180-4
+/// §6.2.2): the fallback on CPUs without SHA-NI and the reference the
+/// hardware path is differentially tested against.
+#[doc(hidden)]
+pub fn compress_portable(state: &mut [u32; 8], block: &[u8; 64]) {
     let mut w = [0u32; 64];
     for (i, chunk) in block.chunks_exact(4).enumerate() {
         w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
@@ -235,28 +294,154 @@ fn compress_block(state: &mut [u32; 8], block: &[u8; 64]) {
     state[7] = state[7].wrapping_add(h);
 }
 
-/// Runtime lane-width choice for [`Sha256::digest_many`], cached after
-/// the first call.
-fn lane_width() -> usize {
+/// The compression backend, chosen once per process from CPU
+/// features alone.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+// Off x86-64 only `Lanes4` is ever chosen.
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+enum Backend {
+    /// SHA-NI instructions; `digest_many` hashes one message at a time.
+    ShaNi,
+    /// Portable compression; `digest_many` interleaves 8 lanes (AVX2).
+    Lanes8,
+    /// Portable compression; `digest_many` interleaves 4 lanes.
+    Lanes4,
+}
+
+/// This CPU's [`Backend`], detected on first use.
+fn backend() -> Backend {
     use std::sync::OnceLock;
-    static WIDTH: OnceLock<usize> = OnceLock::new();
-    *WIDTH.get_or_init(|| {
-        if let Ok(v) = std::env::var("FIDES_SHA_LANES") {
-            if let Ok(n) = v.parse::<usize>() {
-                if n == 1 || n == 4 || n == 8 {
-                    return n;
-                }
+    static BACKEND: OnceLock<Backend> = OnceLock::new();
+    *BACKEND.get_or_init(|| {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("sha")
+                && std::arch::is_x86_feature_detected!("ssse3")
+                && std::arch::is_x86_feature_detected!("sse4.1")
+            {
+                return Backend::ShaNi;
+            }
+            // 8 interleaved lanes want 8×32-bit SIMD registers; without
+            // AVX2 (or off x86-64), 4 lanes keep the working set in
+            // what 128-bit units (or plain scalar ILP) can hold.
+            if std::arch::is_x86_feature_detected!("avx2") {
+                return Backend::Lanes8;
             }
         }
-        // 8 interleaved lanes want 8×32-bit SIMD registers; without
-        // AVX2 (or off x86-64), 4 lanes keep the working set in what
-        // 128-bit units (or plain scalar ILP) can hold.
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return 8;
-        }
-        4
+        Backend::Lanes4
     })
+}
+
+/// The name of this CPU's SHA-256 backend: `"sha-ni"`,
+/// `"portable-8-lane"` or `"portable-4-lane"` (for benchmark reports).
+pub fn backend_name() -> &'static str {
+    match backend() {
+        Backend::ShaNi => "sha-ni",
+        Backend::Lanes8 => "portable-8-lane",
+        Backend::Lanes4 => "portable-4-lane",
+    }
+}
+
+/// The SHA-NI compression (x86-64 `sha` extension).
+#[cfg(target_arch = "x86_64")]
+mod shani {
+    use core::arch::x86_64::{
+        __m128i, _mm_add_epi32, _mm_alignr_epi8, _mm_blend_epi16, _mm_loadu_si128, _mm_set_epi64x,
+        _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32, _mm_shuffle_epi32,
+        _mm_shuffle_epi8, _mm_storeu_si128,
+    };
+
+    use super::K;
+
+    /// The next four message-schedule words `W[t..t+4]` from the
+    /// previous sixteen, held as four vectors `w[t-16..t-12]`,
+    /// `w[t-12..t-8]`, `w[t-8..t-4]` and `w[t-4..t]`.
+    #[inline]
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    fn schedule(w0: __m128i, w1: __m128i, w2: __m128i, w3: __m128i) -> __m128i {
+        // σ0 of W[t-15..] added to W[t-16..]; then W[t-7..] (the four
+        // words straddling w2 and w3); then σ1 of W[t-2..].
+        let t = _mm_add_epi32(_mm_sha256msg1_epu32(w0, w1), _mm_alignr_epi8(w3, w2, 4));
+        _mm_sha256msg2_epu32(t, w3)
+    }
+
+    /// Loads the four round constants `K[4·quad..4·quad + 4]`.
+    #[inline]
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    fn round_constants(quad: usize) -> __m128i {
+        let k = &K[4 * quad..4 * quad + 4];
+        // SAFETY: `k` is four initialized `u32`s (16 bytes), and
+        // `_mm_loadu_si128` has no alignment requirement.
+        unsafe { _mm_loadu_si128(k.as_ptr().cast()) }
+    }
+
+    /// Compresses the whole 64-byte blocks of `blocks` into `state`.
+    ///
+    /// The hardware keeps the state as two vectors, `ABEF` and `CDGH`;
+    /// each `sha256rnds2` runs two rounds and hands back the new `ABEF`,
+    /// so the two vectors swap roles every two rounds.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    pub(super) fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+        // Byte order within each 32-bit word: big-endian message words.
+        let be_words = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+        // SAFETY: `state` is eight `u32`s (32 bytes); both unaligned
+        // loads read 16 bytes inside it.
+        let (dcba, hgfe) = unsafe {
+            let words: *const __m128i = state.as_ptr().cast();
+            (_mm_loadu_si128(words), _mm_loadu_si128(words.add(1)))
+        };
+        let cdab = _mm_shuffle_epi32(dcba, 0xb1);
+        let efgh = _mm_shuffle_epi32(hgfe, 0x1b);
+        let mut abef = _mm_alignr_epi8(cdab, efgh, 8);
+        let mut cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
+
+        for block in blocks.chunks_exact(64) {
+            let (abef_in, cdgh_in) = (abef, cdgh);
+            // SAFETY: `block` is 64 bytes; the four unaligned loads
+            // read 16 bytes each inside it.
+            let mut w = unsafe {
+                let words: *const __m128i = block.as_ptr().cast();
+                [0, 1, 2, 3].map(|i| _mm_shuffle_epi8(_mm_loadu_si128(words.add(i)), be_words))
+            };
+            // Four rounds per step: add the round constants, run two
+            // rounds on the low words, two on the high ones.
+            macro_rules! quad {
+                ($quad:expr, $w:expr) => {{
+                    let wk = _mm_add_epi32($w, round_constants($quad));
+                    cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+                    abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0e));
+                }};
+            }
+            quad!(0, w[0]);
+            quad!(1, w[1]);
+            quad!(2, w[2]);
+            quad!(3, w[3]);
+            for quad in (4..16).step_by(4) {
+                w[0] = schedule(w[0], w[1], w[2], w[3]);
+                quad!(quad, w[0]);
+                w[1] = schedule(w[1], w[2], w[3], w[0]);
+                quad!(quad + 1, w[1]);
+                w[2] = schedule(w[2], w[3], w[0], w[1]);
+                quad!(quad + 2, w[2]);
+                w[3] = schedule(w[3], w[0], w[1], w[2]);
+                quad!(quad + 3, w[3]);
+            }
+            abef = _mm_add_epi32(abef, abef_in);
+            cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        }
+
+        let feba = _mm_shuffle_epi32(abef, 0x1b);
+        let dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+        let dcba = _mm_blend_epi16(feba, dchg, 0xf0);
+        let hgef = _mm_alignr_epi8(dchg, feba, 8);
+        // SAFETY: as for the loads above, two 16-byte unaligned stores
+        // inside the 32-byte `state`.
+        unsafe {
+            let words: *mut __m128i = state.as_mut_ptr().cast();
+            _mm_storeu_si128(words, dcba);
+            _mm_storeu_si128(words.add(1), hgef);
+        }
+    }
 }
 
 /// Number of 64-byte blocks `len` message bytes occupy once padded.
@@ -622,16 +807,34 @@ hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu";
 
     #[test]
     fn digest_many_matches_scalar() {
-        // 13 messages: exercises the 8-lane group, the 4-lane group and
-        // the scalar tail in one call regardless of dispatch choice.
+        // 13 messages: the 8-lane path hashes one 8-lane group, one
+        // 4-lane group and a scalar tail, the 4-lane path three groups
+        // and a tail, whichever backend this CPU picks for `digest_many`.
         let data: Vec<Vec<u8>> = (0..13u32)
             .map(|i| (0..(i * 37) % 200).map(|j| (i + j) as u8).collect())
             .collect();
         let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
-        let got = Sha256::digest_many(&refs);
-        assert_eq!(got.len(), refs.len());
-        for (m, d) in refs.iter().zip(got) {
-            assert_eq!(d, Sha256::digest(m));
+        let expected: Vec<Digest> = refs.iter().map(|m| Sha256::digest(m)).collect();
+        assert_eq!(Sha256::digest_many(&refs), expected);
+        assert_eq!(digest_many_lanes::<8>(&refs), expected);
+        assert_eq!(digest_many_lanes::<4>(&refs), expected);
+    }
+
+    #[test]
+    fn hardware_compression_matches_portable() {
+        // On a CPU without SHA-NI both sides are the portable code; on
+        // one with it, every block below runs through both backends.
+        let mut hw = H0;
+        let mut portable = H0;
+        for i in 0..64u32 {
+            let block: [u8; 64] = std::array::from_fn(|j| (i * 31 + j as u32 * 7) as u8);
+            compress(&mut hw, &block);
+            compress_portable(&mut portable, &block);
+            assert_eq!(hw, portable, "block {i}");
+        }
+        for len in [0usize, 1, 55, 56, 63, 64, 65, 119, 120, 128, 1000] {
+            let data: Vec<u8> = (0..len).map(|i| (i * 13 + len) as u8).collect();
+            assert_eq!(Sha256::digest(&data), digest_portable(&data), "len {len}");
         }
     }
 

@@ -6,7 +6,7 @@ use fides_crypto::merkle::{hash_leaf, MerkleTree};
 use fides_crypto::point::Point;
 use fides_crypto::scalar::Scalar;
 use fides_crypto::schnorr::{self, BatchItem, KeyPair, PublicKey, Signature};
-use fides_crypto::sha256::Sha256;
+use fides_crypto::sha256::{self, Sha256};
 use proptest::prelude::*;
 
 fn arb_fe() -> impl Strategy<Value = FieldElement> {
@@ -356,6 +356,10 @@ proptest! {
             .collect();
         let individual = items.iter().all(|(rec, sig)| sig.verify(rec, &pks));
         prop_assert_eq!(cosi::verify_batch(&items, &pks), individual);
+        // A prepared witness set: a single signature is checked over the
+        // aggregate key's table, a batch by the same combined check.
+        let prepared: Vec<_> = pks.iter().map(|pk| pk.prepared()).collect();
+        prop_assert_eq!(cosi::verify_batch(&items, &prepared), individual);
     }
 }
 
@@ -415,9 +419,10 @@ proptest! {
         prop_assert!(fits_in_bits(&k2.to_be_bytes(), 129));
     }
 
-    /// Batched `digest_many` agrees with per-message scalar SHA-256 on
-    /// mixed-length batches straddling block boundaries (so lanes mask
-    /// in and out at different block indices).
+    /// Batched `digest_many` — this CPU's backend, and the 8- and
+    /// 4-lane portable paths whatever the CPU — agrees with per-message
+    /// scalar SHA-256 on mixed-length batches straddling block
+    /// boundaries (so lanes mask in and out at different block indices).
     #[test]
     fn digest_many_matches_scalar_at_boundaries(
         lens in proptest::collection::vec(arb_msg_len(), 1..24),
@@ -429,11 +434,10 @@ proptest! {
             .map(|(i, &n)| (0..n).map(|j| (j as u8) ^ (i as u8) ^ seed).collect())
             .collect();
         let refs: Vec<&[u8]> = msgs.iter().map(|m| m.as_slice()).collect();
-        let batched = Sha256::digest_many(&refs);
-        prop_assert_eq!(batched.len(), refs.len());
-        for (m, d) in refs.iter().zip(&batched) {
-            prop_assert_eq!(*d, Sha256::digest(m));
-        }
+        let scalar: Vec<_> = refs.iter().map(|m| Sha256::digest(m)).collect();
+        prop_assert_eq!(Sha256::digest_many(&refs), scalar.clone());
+        prop_assert_eq!(sha256::digest_many_lanes::<8>(&refs), scalar.clone());
+        prop_assert_eq!(sha256::digest_many_lanes::<4>(&refs), scalar);
     }
 }
 
@@ -451,6 +455,131 @@ proptest! {
             Point::mul_shamir_generator(&a, &b, &p),
             Point::mul_shamir_generator_wnaf(&a, &b, &p)
         );
+    }
+}
+
+/// Message lengths up to 4 KiB, mostly on the 55/56/64-byte padding
+/// edges of some block (55 is the longest tail padded in its own block,
+/// 56 the shortest that needs another).
+fn arb_long_msg_len() -> impl Strategy<Value = usize> {
+    (any::<u8>(), 0usize..64, any::<u16>()).prop_map(|(pick, blocks, raw)| {
+        const EDGES: [usize; 7] = [0, 1, 55, 56, 57, 63, 64];
+        if pick < 160 {
+            blocks * 64 + EDGES[pick as usize % EDGES.len()]
+        } else {
+            raw as usize % 4097
+        }
+    })
+}
+
+proptest! {
+    // The hardware hash against the portable one. On a CPU with SHA-NI
+    // the streaming hasher runs the hardware compression and the
+    // reference runs the portable one; elsewhere both are portable.
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A message fed through random `update` splits hashes to the
+    /// digest the portable compression gives it.
+    #[test]
+    fn hardware_sha256_matches_portable(
+        len in arb_long_msg_len(),
+        seed in any::<u64>(),
+        cuts in proptest::collection::vec(any::<u16>(), 0..6),
+    ) {
+        let msg: Vec<u8> = (0..len as u64)
+            .map(|i| (seed.wrapping_mul(i + 1).rotate_left(17) >> 13) as u8)
+            .collect();
+        let mut cuts: Vec<usize> = cuts.iter().map(|&c| c as usize % (len + 1)).collect();
+        cuts.sort_unstable();
+        let mut hasher = Sha256::new();
+        let mut at = 0;
+        for cut in cuts.into_iter().chain([len]) {
+            hasher.update(&msg[at..cut]);
+            at = cut;
+        }
+        prop_assert_eq!(hasher.finalize(), sha256::digest_portable(&msg));
+    }
+
+    /// One compression from an arbitrary state agrees block by block.
+    #[test]
+    fn hardware_compression_matches_portable(state in any::<[u32; 8]>(), block in any::<[u8; 64]>()) {
+        let (mut hardware, mut portable) = (state, state);
+        sha256::compress(&mut hardware, &block);
+        sha256::compress_portable(&mut portable, &block);
+        prop_assert_eq!(hardware, portable);
+    }
+}
+
+proptest! {
+    // Per-signer tables against the ladders they replace. Each case
+    // prepares keys whose 8k-entry tables the process-wide registry
+    // keeps until the test process exits; few cases.
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Two table walks accept exactly what the pre-GLV ladder accepts:
+    /// a valid signature, and not a tampered message, a swapped `R`, a
+    /// swapped `s` or a wrong key.
+    #[test]
+    fn table_verify_matches_wnaf(
+        seed in any::<[u8; 16]>(),
+        other_seed in any::<[u8; 16]>(),
+        msg in proptest::collection::vec(any::<u8>(), 1..128),
+        flip in any::<usize>(),
+    ) {
+        prop_assume!(seed != other_seed);
+        let kp = KeyPair::from_seed(&seed);
+        let pk = kp.public_key();
+        let wrong = KeyPair::from_seed(&other_seed).public_key();
+        let sig = kp.sign(&msg);
+        let other = kp.sign(b"another message");
+        let mut tampered = msg.clone();
+        tampered[flip % msg.len()] ^= 1;
+        let cases = [
+            (pk, msg.as_slice(), sig, true),
+            (pk, tampered.as_slice(), sig, false),
+            (pk, msg.as_slice(), Signature { r: other.r, s: sig.s }, false),
+            (pk, msg.as_slice(), Signature { r: sig.r, s: other.s }, false),
+            (wrong, msg.as_slice(), sig, false),
+        ];
+        for (i, (key, message, signature, valid)) in cases.into_iter().enumerate() {
+            let walked = key.prepared().verify(message, &signature);
+            prop_assert_eq!(walked, key.verify_wnaf(message, &signature), "case {}", i);
+            prop_assert_eq!(walked, valid, "case {}", i);
+        }
+    }
+
+    /// A CoSi check over the aggregate key's table agrees with the
+    /// Strauss–Shamir check, for the witness set that signed, for a
+    /// tampered record and for a wrong witness set (one member swapped
+    /// for an outsider).
+    #[test]
+    fn cosi_table_verify_matches_shamir(
+        n in 1usize..6,
+        seed in any::<u8>(),
+        record in proptest::collection::vec(any::<u8>(), 1..64),
+        swap in any::<usize>(),
+    ) {
+        let keys: Vec<KeyPair> = (0..n).map(|i| KeyPair::from_seed(&[i as u8, seed, 0x3A])).collect();
+        let witnesses: Vec<Witness> =
+            keys.iter().map(|k| Witness::commit(k, b"table-round", &record)).collect();
+        let agg = cosi::aggregate_commitments(witnesses.iter().map(|w| w.commitment()));
+        let c = cosi::challenge(&agg, &record);
+        let sig = cosi::CollectiveSignature::assemble(agg, witnesses.iter().map(|w| w.respond(&c)));
+        let pks: Vec<_> = keys.iter().map(|k| k.public_key()).collect();
+        let mut wrong = pks.clone();
+        wrong[swap % n] = KeyPair::from_seed(&[seed, 0x3B]).public_key();
+        let mut tampered = record.clone();
+        tampered[0] ^= 0x40;
+        for (set, message, valid) in [
+            (&pks, record.as_slice(), true),
+            (&pks, tampered.as_slice(), false),
+            (&wrong, record.as_slice(), false),
+        ] {
+            let prepared: Vec<PublicKey> = set.iter().map(|pk| pk.prepared()).collect();
+            let walked = sig.verify(message, &prepared);
+            prop_assert_eq!(walked, sig.verify(message, set));
+            prop_assert_eq!(walked, valid);
+        }
     }
 }
 

@@ -20,6 +20,6 @@ pub mod message;
 pub mod node;
 pub mod transport;
 
-pub use message::{verify_envelopes, Envelope};
+pub use message::Envelope;
 pub use node::NodeId;
 pub use transport::{Endpoint, EndpointSender, Network, NetworkConfig, NetworkStats, RecvError};

@@ -78,43 +78,10 @@ impl Envelope {
         self.payload.len()
     }
 
-    /// The exact bytes this envelope's signature covers — for callers
-    /// assembling a [`verify_envelopes`] batch.
+    /// The exact bytes this envelope's signature covers.
     pub fn signed_bytes(&self) -> Vec<u8> {
         signing_bytes(self.from, self.to, &self.payload, self.trace)
     }
-}
-
-/// Verifies a batch of envelopes against their claimed senders' keys
-/// with **one** random-linear-combination check
-/// ([`fides_crypto::schnorr::verify_batch`]) instead of one full
-/// Schnorr verification per message — how a busy receiver authenticates
-/// an inbox burst at a fraction of the sequential cost. The per-message
-/// challenge hashing inside the batch runs through the multi-lane
-/// [`fides_crypto::Sha256::digest_many`], so both the point arithmetic
-/// *and* the hashing are batched.
-///
-/// Returns `true` only if *every* envelope verifies; on `false` the
-/// caller falls back to per-envelope [`Envelope::verify`] to drop just
-/// the forgeries.
-pub fn verify_envelopes(envelopes: &[(&Envelope, &PublicKey)]) -> bool {
-    use fides_crypto::schnorr::{verify_batch, BatchItem};
-    match envelopes {
-        [] => return true,
-        [(env, pk)] => return env.verify(pk),
-        _ => {}
-    }
-    let messages: Vec<Vec<u8>> = envelopes.iter().map(|(e, _)| e.signed_bytes()).collect();
-    let items: Vec<BatchItem<'_>> = envelopes
-        .iter()
-        .zip(&messages)
-        .map(|((env, pk), message)| BatchItem {
-            public_key: **pk,
-            message,
-            signature: env.signature,
-        })
-        .collect();
-    verify_batch(&items)
 }
 
 fn signing_bytes(from: NodeId, to: NodeId, payload: &[u8], trace: Option<TraceContext>) -> Vec<u8> {

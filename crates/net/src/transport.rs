@@ -444,13 +444,13 @@ impl Endpoint {
 
     /// Receives a **burst**: blocks (up to `deadline`) for the first
     /// envelope, greedily drains whatever else is already queued (at
-    /// most `max_burst`), then authenticates the whole burst with one
-    /// batched signature check ([`crate::verify_envelopes`]) — falling
-    /// back per-envelope so only actual forgeries drop. Envelopes from
-    /// senders absent from `keys` are discarded (unauthenticated
-    /// messages are ignored). Returns the verified envelopes in arrival
-    /// order; retries internally until at least one survives or the
-    /// deadline passes.
+    /// most `max_burst`), then checks each envelope's signature
+    /// ([`Envelope::verify`]; a directory key walks its prepared table)
+    /// so only actual forgeries drop. Envelopes from senders absent
+    /// from `keys` are discarded (unauthenticated messages are
+    /// ignored). Returns the verified envelopes in arrival order;
+    /// retries internally until at least one survives or the deadline
+    /// passes.
     ///
     /// # Errors
     ///
@@ -475,20 +475,9 @@ impl Endpoint {
                     None => break,
                 }
             }
-            let known: Vec<(Envelope, fides_crypto::schnorr::PublicKey)> = burst
+            let verified: Vec<Envelope> = burst
                 .into_iter()
-                .filter_map(|env| {
-                    let pk = *keys.get(&env.from)?;
-                    Some((env, pk))
-                })
-                .collect();
-            let refs: Vec<(&Envelope, &fides_crypto::schnorr::PublicKey)> =
-                known.iter().map(|(env, pk)| (env, pk)).collect();
-            let all_valid = crate::message::verify_envelopes(&refs);
-            let verified: Vec<Envelope> = known
-                .into_iter()
-                .filter(|(env, pk)| all_valid || env.verify(pk))
-                .map(|(env, _)| env)
+                .filter(|env| keys.get(&env.from).is_some_and(|pk| env.verify(pk)))
                 .collect();
             if !verified.is_empty() {
                 return Ok(verified);
