@@ -71,12 +71,9 @@ struct Args {
     /// Write the sweep JSON here (e.g. `BENCH_PR6.json`) instead of
     /// stdout only.
     out: Option<String>,
-    /// Rotate commit leadership by block height (`height % n`) and
-    /// overlap consecutive rounds across leaders.
-    rotate: bool,
     /// Pipelined WAL writer gather window: how long the writer keeps
     /// collecting appends past its greedy drain before the covering
-    /// fsync (raises `fsync_batch_mean` under overlapped rounds).
+    /// fsync (raises `fsync_batch_mean`).
     gather: Duration,
     /// Trace 1-in-N committed transactions (sets `FIDES_TRACE_SAMPLE`
     /// before any client starts; 0 = off). Defaults to the environment.
@@ -131,7 +128,7 @@ fn usage() -> ! {
          \x20                 [--read-pct P] [--consistency fresh|bounded:K|at:H]\n\
          \x20                 [--reads-via-commit] [--check-baseline FILE]\n\
          \x20                 [--workers N] [--sweep-workers N,N,...] [--out FILE]\n\
-         \x20                 [--rotate] [--gather-ms MS]\n\
+         \x20                 [--gather-ms MS]\n\
          \x20                 [--trace-sample N] [--trace-out FILE] [--prom-out FILE]\n\
          \x20                 [--trace-sweep]"
     );
@@ -161,7 +158,6 @@ fn parse_args() -> Args {
         workers: None,
         sweep_workers: None,
         out: None,
-        rotate: false,
         gather: Duration::ZERO,
         trace_sample: None,
         trace_out: None,
@@ -249,7 +245,6 @@ fn parse_args() -> Args {
                     _ => usage(),
                 });
             }
-            "--rotate" => args.rotate = true,
             "--gather-ms" => {
                 let ms: f64 = value(&mut it).parse().unwrap_or_else(|_| usage());
                 args.gather = Duration::from_secs_f64(ms.max(0.0) / 1e3);
@@ -359,7 +354,6 @@ fn run(args: &Args) -> RunResult {
         .items_per_shard(args.items_per_shard)
         .batch_size(args.batch)
         .protocol(CommitProtocol::TfCommit)
-        .rotate_leaders(args.rotate)
         .max_clients(args.clients)
         .flush_interval(args.flush);
     if args.kill_restart.is_some() {
@@ -806,7 +800,7 @@ fn emit_json(args: &Args, r: &RunResult) -> String {
         .map_or(0, |g| g.max);
     format!(
         "{{\n  \"label\": \"{}\",\n  \"servers\": {},\n  \"clients\": {},\n  \"batch\": {},\n  \
-         \"items_per_shard\": {},\n  \"policy\": \"{}\",\n  \"rotate\": {},\n  \
+         \"items_per_shard\": {},\n  \"policy\": \"{}\",\n  \
          \"gather_ms\": {:.3},\n  \"trace_sample\": {},\n  \"trace_spans\": {},\n  \
          \"duration_s\": {:.3},\n  \
          \"committed\": {},\n  \"aborted\": {},\n  \"txns_per_sec\": {:.1},\n  \
@@ -821,7 +815,6 @@ fn emit_json(args: &Args, r: &RunResult) -> String {
         args.batch,
         args.items_per_shard,
         args.policy.as_str(),
-        args.rotate,
         args.gather.as_secs_f64() * 1e3,
         effective_trace_sample(),
         r.spans.len(),
@@ -992,7 +985,7 @@ fn run_sweep(args: &Args, worker_counts: &[u32]) {
         .collect();
     let json = format!(
         "{{\n  \"label\": \"{}\",\n  \"servers\": {},\n  \"clients\": {},\n  \
-         \"policy\": \"{}\",\n  \"rotate\": {},\n  \"gather_ms\": {:.3},\n  \
+         \"policy\": \"{}\",\n  \"gather_ms\": {:.3},\n  \
          \"duration_s\": {:.1},\n  \
          \"txns_per_sec\": {:.1},\n  \"committed\": {:.0},\n  \"aborted\": {:.0},\n  \
          \"p50_ms\": {:.3},\n  \"p99_ms\": {:.3},\n  \"fsync_batch_mean\": {:.2},\n  \
@@ -1002,7 +995,6 @@ fn run_sweep(args: &Args, worker_counts: &[u32]) {
         args.servers,
         args.clients,
         args.policy.as_str(),
-        args.rotate,
         args.gather.as_secs_f64() * 1e3,
         args.duration.as_secs_f64(),
         headline_txns,
@@ -1216,7 +1208,7 @@ fn run_trace_sweep(args: &Args) {
         .collect();
     let json = format!(
         "{{\n  \"label\": \"{}\",\n  \"servers\": {},\n  \"clients\": {},\n  \"batch\": {},\n  \
-         \"policy\": \"{}\",\n  \"rotate\": {},\n  \"duration_s\": {:.1},\n  \
+         \"policy\": \"{}\",\n  \"duration_s\": {:.1},\n  \
          \"txns_per_sec\": {:.1},\n  \
          \"trace_overhead\": [\n{}\n  ],\n  \
          \"watchdog\": {{\"round_timeout_ms\": {:.0}, \"detect_ms\": {:.1}, \
@@ -1227,7 +1219,6 @@ fn run_trace_sweep(args: &Args) {
         args.clients,
         args.batch,
         args.policy.as_str(),
-        args.rotate,
         args.duration.as_secs_f64(),
         off,
         curve.join(",\n"),

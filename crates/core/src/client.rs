@@ -26,7 +26,7 @@ use fides_telemetry::{Sampler, Span, SpanSink, TraceContext};
 
 use crate::messages::{CommitProtocol, Message, ReadPart, ReadRefusal, TxnHandle};
 use crate::partition::Partitioner;
-use crate::server::{client_node, server_node, Directory};
+use crate::server::{client_node, server_node, Directory, COORDINATOR_IDX, LEADER};
 
 /// A shared monotone counter from which clients derive commit
 /// timestamps.
@@ -299,22 +299,14 @@ pub struct ClientSession {
     protocol: CommitProtocol,
     seq: u64,
     op_timeout: Duration,
-    /// Commit traffic (outcomes/rejections) that arrived while waiting
-    /// for an execution-phase response — a pipelined client's earlier
-    /// transactions resolving mid-read — with the node that signed it.
-    /// Consumed by [`ClientSession::drain_outcomes`].
-    stash: std::collections::VecDeque<(NodeId, Message)>,
+    /// Commit traffic (outcomes/rejections) the leader sent while this
+    /// session waited for an execution-phase response — a pipelined
+    /// client's earlier transactions resolving mid-read. Consumed by
+    /// [`ClientSession::drain_outcomes`].
+    stash: std::collections::VecDeque<Message>,
     /// Verified-read-plane state (`None` until
     /// [`ClientSession::with_read_context`] attaches it).
     read: Option<ReadContext>,
-    /// The cluster rotates commit leadership by height
-    /// ([`crate::server::leader_for_height`]): end-txn traffic aims at
-    /// the estimated frontier leader instead of the fixed coordinator.
-    rotate_leaders: bool,
-    /// Estimated next block height, advanced by every outcome observed.
-    /// A stale estimate only mis-aims an end-txn, which the receiving
-    /// server forwards to the true leader.
-    est_height: u64,
     /// fides-trace head sampling: 1-in-N commits (`FIDES_TRACE_SAMPLE`)
     /// carry a [`TraceContext`] on their end-txn envelopes.
     sampler: Sampler,
@@ -346,34 +338,49 @@ struct ReadContext {
     /// a mirror-less cluster degrades to straight owner reads instead
     /// of paying refused round trips on every read.
     no_mirror: std::collections::HashMap<(u32, u32), Instant>,
+    /// Servers a read recently timed out on, moved to the back of the
+    /// rotation until the entry expires or the server answers again: a
+    /// crashed server costs one read a share of its op-timeout, not
+    /// every read that meets it.
+    timed_out: std::collections::HashMap<u32, Instant>,
 }
 
 impl ReadContext {
     /// Starts the next rotation over `n` servers: returns its first
-    /// server, advances the cursor and expires old `NoSnapshot` entries.
+    /// server, advances the cursor and expires old `NoSnapshot` and
+    /// timeout entries.
     fn next_rotation(&mut self, n: u32) -> u32 {
         let start = self.next_target;
         self.next_target = (start + 1) % n;
         let now = Instant::now();
-        self.no_mirror
-            .retain(|_, refused_at| now.duration_since(*refused_at) < NO_MIRROR_TTL);
+        let fresh = |at: &Instant| now.duration_since(*at) < NO_MIRROR_TTL;
+        self.no_mirror.retain(|_, refused_at| fresh(refused_at));
+        self.timed_out.retain(|_, timed_out_at| fresh(timed_out_at));
         start
     }
 
     /// The servers that may serve `shard`, in rotation order from
     /// `start`, skipping peers that recently answered `NoSnapshot` for
     /// it. The owner is never skipped, so a mirror-less cluster
-    /// degrades to straight owner reads.
+    /// degrades to straight owner reads. Servers that recently timed
+    /// out come after every other candidate, never dropped: a read
+    /// still reaches them when nothing else answers.
     fn eligible(&self, shard: u32, start: u32, n: u32) -> impl Iterator<Item = u32> + '_ {
-        (0..n)
+        let rotation = (0..n)
             .map(move |i| (start + i) % n)
-            .filter(move |s| *s == shard || !self.no_mirror.contains_key(&(*s, shard)))
+            .filter(move |s| *s == shard || !self.no_mirror.contains_key(&(*s, shard)));
+        let answered = move |s: &u32| !self.timed_out.contains_key(s);
+        rotation
+            .clone()
+            .filter(answered)
+            .chain(rotation.filter(move |s| !answered(s)))
     }
 }
 
 /// How long a `NoSnapshot` refusal keeps a `(server, shard)` pair out
-/// of the read rotation (mirrors appear at checkpoint cadence, so a
-/// short TTL re-probes soon enough).
+/// of the read rotation, and a timeout keeps a server at its back
+/// (mirrors appear at checkpoint cadence, so a short TTL re-probes
+/// soon enough).
 const NO_MIRROR_TTL: Duration = Duration::from_secs(2);
 
 /// Client-side verified-read metrics (drained by
@@ -454,8 +461,6 @@ impl ClientSession {
             op_timeout: Duration::from_secs(10),
             stash: std::collections::VecDeque::new(),
             read: None,
-            rotate_leaders: false,
-            est_height: 0,
             sampler: Sampler::from_env(),
             // Node tags are 16-bit; ids above the 61 440 client-tag
             // slots wrap rather than panic.
@@ -464,43 +469,6 @@ impl ClientSession {
                 CLIENT_SPAN_CAPACITY,
             )),
         }
-    }
-
-    /// Enables rotating-leadership targeting: end-txn traffic goes to
-    /// `leader_for_height(estimated next height)` instead of the fixed
-    /// coordinator. Wired by [`crate::system::FidesCluster::client`]
-    /// when the cluster rotates.
-    pub fn with_rotation(mut self, rotate: bool) -> Self {
-        self.rotate_leaders = rotate;
-        self
-    }
-
-    /// Where to aim the next end-transaction request.
-    fn commit_target(&self) -> u32 {
-        crate::server::leader_for_height(
-            self.est_height,
-            self.partitioner.n_servers(),
-            self.rotate_leaders,
-        )
-    }
-
-    /// The servers whose `EndTxnRejected` this client acts on: the
-    /// fixed leader, or under rotation any server (an end-txn aimed at
-    /// a stale leader estimate is forwarded, and whichever server leads
-    /// its height rejects it). A rejection signed by anyone else — a
-    /// non-leader, another client — is ignored, so a node that guesses
-    /// a sequential handle cannot force retries or drop a commit.
-    fn rejecters(&self) -> Vec<NodeId> {
-        if self.rotate_leaders {
-            (0..self.partitioner.n_servers()).map(server_node).collect()
-        } else {
-            vec![server_node(crate::server::COORDINATOR_IDX)]
-        }
-    }
-
-    /// Folds an observed outcome height into the frontier estimate.
-    fn note_outcome_height(&mut self, height: u64) {
-        self.est_height = self.est_height.max(height + 1);
     }
 
     /// Attaches the verified read plane: the trusted genesis composite
@@ -520,6 +488,7 @@ impl ClientSession {
             req_seq: 0,
             stats: ReadStats::default(),
             no_mirror: std::collections::HashMap::new(),
+            timed_out: std::collections::HashMap::new(),
         });
         self
     }
@@ -609,8 +578,8 @@ impl ClientSession {
     }
 
     /// Waits for a message `want` accepts; `want` hands back what it
-    /// declines. Declined commit traffic for other in-flight
-    /// transactions (outcomes, rejections) is stashed for
+    /// declines. Declined commit traffic the leader sent for other
+    /// in-flight transactions is stashed for
     /// [`ClientSession::drain_outcomes`]; anything else is dropped.
     fn wait_for<T>(
         &mut self,
@@ -644,22 +613,34 @@ impl ClientSession {
                     let Ok(msg) = Message::decode(&env.payload) else {
                         continue;
                     };
+                    if let (Message::SnapshotReadResp { .. }, Some(ctx)) = (&msg, &mut self.read) {
+                        // A read response, even a late one, shows that its
+                        // server is up: it leaves the back of the rotation.
+                        ctx.timed_out.remove(&env.from.raw());
+                    }
                     match want(env.from, msg) {
                         Ok(out) => return Ok(out),
-                        Err(msg)
-                            if matches!(
-                                *msg,
-                                Message::Outcome { .. } | Message::EndTxnRejected { .. }
-                            ) =>
-                        {
-                            self.stash.push_back((env.from, *msg));
-                        }
-                        Err(_) => {}
+                        Err(msg) => self.keep_commit_traffic(env.from, *msg),
                     }
                 }
                 Err(fides_net::RecvError::Timeout) => return Err(ClientError::Timeout(what)),
                 Err(fides_net::RecvError::Disconnected) => return Err(ClientError::Disconnected),
             }
+        }
+    }
+
+    /// Stashes `msg` for [`ClientSession::drain_outcomes`] when it is
+    /// commit traffic signed by the leader. Handles are sequential, so
+    /// any node can guess one: an outcome or rejection from anyone else
+    /// is dropped, and cannot end, retry or drop a commit.
+    fn keep_commit_traffic(&mut self, from: NodeId, msg: Message) {
+        if from == LEADER
+            && matches!(
+                msg,
+                Message::Outcome { .. } | Message::EndTxnRejected { .. }
+            )
+        {
+            self.stash.push_back(msg);
         }
     }
 
@@ -737,7 +718,6 @@ impl ClientSession {
         // One sampling decision per transaction; retries re-send the
         // same context, so the whole retry tail lands in one trace.
         let trace = self.sample_commit();
-        let rejecters = self.rejecters();
         let mut attempts = 0;
         loop {
             attempts += 1;
@@ -751,7 +731,7 @@ impl ClientSession {
                 write_set: txn.writes.clone(),
             };
             self.send_to_traced(
-                self.commit_target(),
+                COORDINATOR_IDX,
                 &Message::EndTxn { handle, record },
                 trace.map(|t| t.ctx()),
             );
@@ -761,12 +741,12 @@ impl ClientSession {
                 Rejected(Timestamp),
             }
             let reply = self.wait_for("transaction outcome", |from, msg| match msg {
-                Message::Outcome { handles, block } if handles.contains(&handle) => {
+                Message::Outcome { handles, block }
+                    if from == LEADER && handles.contains(&handle) =>
+                {
                     Ok(Reply::Outcome(Box::new(block)))
                 }
-                Message::EndTxnRejected { handle: h, hint }
-                    if h == handle && rejecters.contains(&from) =>
-                {
+                Message::EndTxnRejected { handle: h, hint } if from == LEADER && h == handle => {
                     Ok(Reply::Rejected(hint))
                 }
                 other => Err(Box::new(other)),
@@ -806,7 +786,6 @@ impl ClientSession {
                     self.oracle
                         .advance_to(block.max_txn_ts().map_or(0, |t| t.counter()));
                     let height = block.height;
-                    self.note_outcome_height(height);
                     let committed =
                         block.decision == Decision::Commit && block.txns.iter().any(|t| t.id == ts);
                     return Ok(if committed {
@@ -909,10 +888,7 @@ impl ClientSession {
                             });
                         }
                     }
-                    msg @ (Message::Outcome { .. } | Message::EndTxnRejected { .. }) => {
-                        self.stash.push_back((from, msg));
-                    }
-                    _ => {}
+                    msg => self.keep_commit_traffic(from, msg),
                 }
             }
         }
@@ -1001,10 +977,7 @@ impl ClientSession {
                     {
                         acks.entry(key).or_insert(old);
                     }
-                    msg @ (Message::Outcome { .. } | Message::EndTxnRejected { .. }) => {
-                        self.stash.push_back((from, msg));
-                    }
-                    _ => {}
+                    msg => self.keep_commit_traffic(from, msg),
                 }
             }
         }
@@ -1047,7 +1020,7 @@ impl ClientSession {
             write_set: txn.writes.clone(),
         };
         self.send_to_traced(
-            self.commit_target(),
+            COORDINATOR_IDX,
             &Message::EndTxn {
                 handle: txn.handle,
                 record: record.clone(),
@@ -1079,15 +1052,18 @@ impl ClientSession {
     ) -> Vec<UnverifiedOutcome> {
         let mut resolved = Vec::new();
         let mut queue: Vec<(NodeId, Message)> = Vec::new();
-        let rejecters = self.rejecters();
         while !pending.is_empty() {
             // Commit traffic stashed during execution-phase waits first,
             // then bursts off the wire (signatures batch-verified —
             // a block's outcomes land together after the covering
-            // fsync, so bursts are the common case).
-            let (from, msg) = if let Some(msg) = self.stash.pop_front() {
+            // fsync, so bursts are the common case). Only the leader's
+            // count: the stash holds nothing else.
+            let msg = if let Some(msg) = self.stash.pop_front() {
                 msg
-            } else if let Some(msg) = queue.pop() {
+            } else if let Some((from, msg)) = queue.pop() {
+                if from != LEADER {
+                    continue;
+                }
                 msg
             } else {
                 if Instant::now() >= deadline {
@@ -1107,7 +1083,6 @@ impl ClientSession {
                 Message::Outcome { handles, block } => {
                     self.oracle
                         .advance_to(block.max_txn_ts().map_or(0, |t| t.counter()));
-                    self.note_outcome_height(block.height);
                     let block = Box::new(block);
                     for handle in handles {
                         if let Some(at) = pending.iter().position(|p| p.handle == handle) {
@@ -1121,7 +1096,7 @@ impl ClientSession {
                         }
                     }
                 }
-                Message::EndTxnRejected { handle, hint } if rejecters.contains(&from) => {
+                Message::EndTxnRejected { handle, hint } => {
                     if let Some(commit) = pending.iter_mut().find(|p| p.handle == handle) {
                         self.oracle.advance_to(hint.counter());
                         commit.attempts += 1;
@@ -1147,8 +1122,7 @@ impl ClientSession {
                             record: commit.record.clone(),
                         };
                         let trace = commit.trace.map(|t| t.ctx());
-                        let target = self.commit_target();
-                        self.send_to_traced(target, &msg, trace);
+                        self.send_to_traced(COORDINATOR_IDX, &msg, trace);
                     }
                 }
                 _ => {}
@@ -1352,8 +1326,13 @@ impl ClientSession {
                 }
             }
         }
-        // Anything still outstanding timed out: fall back.
-        fallback.extend(outstanding.into_iter().flat_map(|(_, _, idxs)| idxs));
+        // Anything still outstanding timed out: its target moves to the
+        // back of the rotation, and its groups fall back.
+        let ctx = self.read.as_mut().expect("checked by caller");
+        for (_, target, idxs) in outstanding {
+            ctx.timed_out.insert(target, Instant::now());
+            fallback.extend(idxs);
+        }
         Ok(fallback)
     }
 
@@ -1500,7 +1479,11 @@ impl ClientSession {
                         last_refusal = Some(reason);
                     }
                     ReadAttempt::Refuted(fault) => last_fault = Some(fault),
-                    ReadAttempt::TimedOut => transient = true,
+                    ReadAttempt::TimedOut => {
+                        transient = true;
+                        let ctx = self.read.as_mut().expect("checked by caller");
+                        ctx.timed_out.insert(target, Instant::now());
+                    }
                 }
             }
             if !transient || Instant::now() >= deadline {
@@ -1925,21 +1908,25 @@ mod tests {
     }
 
     /// A commit's handle is sequential, so any node can guess it. A
-    /// rejection counts only from a server that may reject the commit:
-    /// the fixed leader, or any server under rotation. Forged ones — a
-    /// non-leader's, another client's — force no retry, lend the
-    /// oracle no timestamp and use up none of the 16 attempts.
+    /// rejection or outcome counts only from the leader. Forged ones —
+    /// a non-leader's, another client's — force no retry, lend the
+    /// oracle no timestamp, use up none of the 16 attempts, end no
+    /// commit and are not kept for later.
     #[test]
     fn rejections_are_taken_only_from_servers() {
         let forged_hint = Timestamp::new(1_000_000, 2);
         let reject = |handle, hint| Message::EndTxnRejected { handle, hint };
 
-        // Fixed leader, synchronous commit: each attempt meets forged
-        // rejections first, then the leader's. The commit gives up
-        // after exactly 16 attempts, none past the forged hint.
+        // Synchronous commit: each attempt meets forged rejections
+        // first, then the leader's. The commit gives up after exactly
+        // 16 attempts, none past the forged hint, and stashes none of
+        // the 32 forgeries.
         let (played, mut client) = Played::start();
         let txn = client.begin();
-        let committer = std::thread::spawn(move || client.commit(txn));
+        let committer = std::thread::spawn(move || {
+            let result = client.commit(txn);
+            (client, result)
+        });
         for attempt in 1..=16u64 {
             let (handle, record) = played.recv_end_txn();
             assert!(
@@ -1951,15 +1938,17 @@ mod tests {
             played.reply_as_outsider(&reject(handle, forged_hint));
             played.reply(0, &reject(handle, Timestamp::new(attempt, 0)));
         }
-        let result = committer.join().expect("committer thread");
+        let (client, result) = committer.join().expect("committer thread");
         assert!(
             matches!(result, Err(ClientError::RetriesExhausted)),
             "{result:?}"
         );
+        assert!(client.stash.is_empty(), "{:?}", client.stash);
         assert!(played.servers[0].1.try_recv().is_none());
 
-        // Fixed leader, pipelined: 16 forged rejections leave the commit
-        // pending on its first attempt; the leader's one costs one retry.
+        // Pipelined: 16 forged rejections and a forged outcome leave the
+        // commit pending on its first attempt; the leader's rejection
+        // costs one retry.
         let (played, mut client) = Played::start();
         let txn = client.begin();
         let mut pending = vec![client.commit_async(txn)];
@@ -1968,6 +1957,13 @@ mod tests {
             played.reply(2, &reject(handle, forged_hint));
             played.reply_as_outsider(&reject(handle, forged_hint));
         }
+        let block = fides_ledger::block::BlockBuilder::new(0, Digest::ZERO).build_unsigned();
+        let outcome = Message::Outcome {
+            handles: vec![handle],
+            block,
+        };
+        played.reply(2, &outcome);
+        played.reply_as_outsider(&outcome);
         played.reply(0, &reject(handle, Timestamp::new(5, 0)));
         let deadline = Instant::now() + Duration::from_millis(300);
         assert!(client.drain_outcomes(&mut pending, deadline).is_empty());
@@ -1976,21 +1972,6 @@ mod tests {
         let (_, record) = played.recv_end_txn();
         assert!(record.id < forged_hint, "{:?}", record.id);
         assert!(played.servers[0].1.try_recv().is_none());
-
-        // Under rotation the server leading the height may be any
-        // server; another client still may not reject.
-        let (played, client) = Played::start();
-        let mut client = client.with_rotation(true);
-        let txn = client.begin();
-        let mut pending = vec![client.commit_async(txn)];
-        let (handle, _) = played.recv_end_txn();
-        played.reply_as_outsider(&reject(handle, forged_hint));
-        played.reply(2, &reject(handle, Timestamp::new(5, 0)));
-        let deadline = Instant::now() + Duration::from_millis(300);
-        assert!(client.drain_outcomes(&mut pending, deadline).is_empty());
-        assert_eq!(pending[0].attempts, 2);
-        let (_, record) = played.recv_end_txn();
-        assert!(record.id < forged_hint, "{:?}", record.id);
     }
 
     #[test]

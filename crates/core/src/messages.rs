@@ -102,11 +102,9 @@ pub enum Refusal {
     /// to co-sign a second block at an occupied height. Refusing keeps
     /// an honest cohort from ever signing a fork.
     StaleHeight,
-    /// Under rotating leadership the challenge came from a server that
-    /// is not `height % n` — the designated leader for that height.
-    /// Refusing extends the double-sign guard to rotation: even a
-    /// Byzantine server that races the schedule cannot gather a full
-    /// co-signature out of turn.
+    /// The challenge came from a node that is not the leader
+    /// ([`crate::server::COORDINATOR_IDX`]). Answering it would use up
+    /// the CoSi witness the leader's real challenge needs.
     WrongLeader,
 }
 
@@ -118,7 +116,7 @@ impl fmt::Display for Refusal {
             Refusal::BadChallenge => write!(f, "challenge does not match H(X || block)"),
             Refusal::DecisionInconsistent => write!(f, "decision inconsistent with roots"),
             Refusal::StaleHeight => write!(f, "round height already occupied in this log"),
-            Refusal::WrongLeader => write!(f, "challenge from a non-leader for this height"),
+            Refusal::WrongLeader => write!(f, "challenge from a node that is not the leader"),
         }
     }
 }
@@ -170,18 +168,6 @@ pub enum Message {
     /// The coordinator refused the request (stale timestamp); the client
     /// should retry with a timestamp above `hint`.
     EndTxnRejected { handle: TxnHandle, hint: Timestamp },
-    /// Server-to-server forwarding of a pending [`Message::EndTxn`]
-    /// under rotating leadership: a server holding client requests that
-    /// is not the leader for the frontier height hands them to the
-    /// server that is, preserving the original client identity so the
-    /// new leader can route the outcome. Keeps the chain live when
-    /// clients (by staleness or crash timing) target the wrong leader.
-    EndTxnFwd {
-        /// Raw node id of the client that issued the transaction.
-        client: u32,
-        handle: TxnHandle,
-        record: TxnRecord,
-    },
     /// Final outcome: the signed block containing the client's
     /// transaction(s) — one message resolves **every** commit this
     /// client had in the block, so the coordinator signs (and the
@@ -524,7 +510,6 @@ impl Message {
             Message::WriteAck { .. } => "write-ack",
             Message::EndTxn { .. } => "end-txn",
             Message::EndTxnRejected { .. } => "end-txn-rejected",
-            Message::EndTxnFwd { .. } => "end-txn-fwd",
             Message::Outcome { .. } => "outcome",
             Message::GetVote { .. } => "get-vote",
             Message::Vote { .. } => "vote",
@@ -862,16 +847,6 @@ impl Encodable for Message {
                 enc.put_u8(33);
                 enc.put_seq(headers, |e, h| h.encode_into(e));
             }
-            Message::EndTxnFwd {
-                client,
-                handle,
-                record,
-            } => {
-                enc.put_u8(34);
-                enc.put_u32(*client);
-                handle.encode_into(enc);
-                record.encode_into(enc);
-            }
         }
     }
 }
@@ -1023,11 +998,8 @@ impl Decodable for Message {
             33 => Message::RootAnnounce {
                 headers: dec.take_seq(BlockHeader::decode_from)?,
             },
-            34 => Message::EndTxnFwd {
-                client: dec.take_u32()?,
-                handle: TxnHandle::decode_from(dec)?,
-                record: TxnRecord::decode_from(dec)?,
-            },
+            // Tag 34 carried the retired end-txn forward between
+            // rotating leaders; it stays unassigned.
             35 => Message::MirrorResync,
             t => return Err(DecodeError::InvalidTag(t)),
         })
@@ -1119,11 +1091,6 @@ mod tests {
         roundtrip(Message::EndTxnRejected {
             handle,
             hint: Timestamp::new(50, 0),
-        });
-        roundtrip(Message::EndTxnFwd {
-            client: 5,
-            handle,
-            record: sample_record(),
         });
         let block = BlockBuilder::new(0, Digest::ZERO)
             .txn(sample_record())
@@ -1372,6 +1339,20 @@ mod tests {
     #[test]
     fn bad_tag_rejected() {
         assert!(Message::decode(&[99]).is_err());
+    }
+
+    /// Retired tags stay unassigned: an old peer's per-key begin/read
+    /// (0–3), single-shard refusal (31) or end-txn forward (34) fails to
+    /// decode instead of being read as some other message.
+    #[test]
+    fn retired_tags_fail_to_decode() {
+        for tag in [0u8, 1, 2, 3, 31, 34] {
+            let decoded = Message::decode(&[tag, 0, 0, 0, 0, 0, 0, 0, 0]);
+            assert!(
+                matches!(decoded, Err(DecodeError::InvalidTag(t)) if t == tag),
+                "tag {tag}: {decoded:?}"
+            );
+        }
     }
 
     #[test]

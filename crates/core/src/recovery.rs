@@ -113,8 +113,8 @@ pub struct PersistenceConfig {
     /// its greedy queue drain before issuing the covering fsync (see
     /// [`fides_durability::PipelineConfig::gather_window`]). Zero — the
     /// default — fsyncs as soon as the queue runs dry. A small window
-    /// lets overlapped commit rounds share one disk round-trip (the
-    /// `durability.batch_blocks` mean rises above 1).
+    /// lets a cohort's blocks from consecutive rounds share one disk
+    /// round trip (the `durability.batch_blocks` mean rises above 1).
     pub gather_window: std::time::Duration,
 }
 

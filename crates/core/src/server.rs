@@ -110,21 +110,6 @@ pub struct ExecState {
     /// (out-of-order delivery). They are verified **in batch** and
     /// applied as soon as the gap closes (the catch-up loop).
     pending_decisions: BTreeMap<u64, Block>,
-    /// Rotation: `GetVote` rounds that arrived ahead of this server's
-    /// log tip — the next leader raced this cohort's application of the
-    /// previous decision. Voted as soon as catch-up closes the gap.
-    gated_votes: BTreeMap<u64, (NodeId, PartialBlock)>,
-    /// Rotation: `Challenge` phases that arrived ahead of the log tip,
-    /// replayed after catch-up (same race as `gated_votes`).
-    gated_challenges: BTreeMap<
-        u64,
-        (
-            NodeId,
-            Box<Block>,
-            cosi::Commitment,
-            fides_crypto::scalar::Scalar,
-        ),
-    >,
 }
 
 /// Where the co-signed root covering a shard's current state lives —
@@ -277,17 +262,6 @@ pub struct RoundStats {
     pub committed_txns: u64,
     /// Transactions aborted across all rounds.
     pub aborted_txns: u64,
-}
-
-impl RoundStats {
-    /// Folds another server's stats in — under rotating leadership the
-    /// cluster's round accounting is the sum over every leader.
-    pub fn merge(&mut self, other: &RoundStats) {
-        self.rounds += other.rounds;
-        self.round_nanos += other.round_nanos;
-        self.committed_txns += other.committed_txns;
-        self.aborted_txns += other.aborted_txns;
-    }
 }
 
 impl ServerState {
@@ -581,12 +555,6 @@ pub struct ServerConfig {
     /// [`crate::recovery::PersistenceConfig::snapshot_interval`];
     /// 0 = never).
     pub snapshot_interval: u64,
-    /// Rotate commit leadership deterministically by block height
-    /// (`height % n_servers`) instead of pinning every round on
-    /// [`COORDINATOR_IDX`]. TFCommit only; under rotation every server
-    /// accepts end-transaction traffic and forwards queued work to the
-    /// frontier leader ([`Message::EndTxnFwd`]) so no batch starves.
-    pub rotate_leaders: bool,
     /// Liveness watchdog threshold: how long the frontier may sit still
     /// *with work outstanding* (live CoSi witnesses or queued end-txns)
     /// before the round-progress monitor declares a [`Stall`] and dumps
@@ -655,9 +623,8 @@ struct PendingTxn {
     client: NodeId,
     record: TxnRecord,
     /// The sampled trace context this end-txn arrived with (fides-trace
-    /// — `None` for the unsampled 1−1/N of traffic). Survives
-    /// forwarding; the round that terminates the transaction parents
-    /// its spans under this context.
+    /// — `None` for the unsampled 1−1/N of traffic). The round that
+    /// terminates the transaction parents its spans under this context.
     trace: Option<TraceContext>,
     /// Rounds this transaction sat out because the leader's write
     /// watermarks already doom its read set (see
@@ -675,12 +642,6 @@ struct WatchdogTick {
 
 /// Blocks fetched per `RepairRequest` round trip.
 const REPAIR_CHUNK: u32 = 64;
-
-/// Cap on rounds parked in [`ExecState::gated_votes`] /
-/// [`ExecState::gated_challenges`] (same bound as buffered decisions —
-/// a Byzantine leader cannot balloon cohort memory with far-future
-/// rounds).
-const MAX_GATED_ROUNDS: usize = 1024;
 
 /// How many rounds a doomed transaction (read set already overwritten
 /// per the leader's write watermarks) may be held out of clean batches
@@ -795,25 +756,17 @@ impl QuorumAcks {
     }
 }
 
-/// The coordinator index (the "designated server", §4.1).
+/// The coordinator index (the "designated server", §4.1): the leader
+/// of every TFCommit and 2PC round.
 pub const COORDINATOR_IDX: u32 = 0;
 
-/// The commit leader for block `height`: `height % n_servers` under
-/// rotating leadership ([`ServerConfig::rotate_leaders`]), the fixed
-/// [`COORDINATOR_IDX`] otherwise. Clients use this to aim end-txn
-/// traffic at the server that will form the next block; a miss is
-/// harmless (the receiver forwards via [`Message::EndTxnFwd`]).
-pub fn leader_for_height(height: u64, n_servers: u32, rotate: bool) -> u32 {
-    if rotate {
-        (height % n_servers.max(1) as u64) as u32
-    } else {
-        COORDINATOR_IDX
-    }
-}
+/// The coordinator's node: the only sender whose `GetVote` or
+/// `Challenge` a cohort answers, and whose outcomes a client takes.
+pub(crate) const LEADER: NodeId = server_node(COORDINATOR_IDX);
 
 /// Computes the node id of server `idx` (servers occupy the low id
 /// range).
-pub fn server_node(idx: u32) -> NodeId {
+pub const fn server_node(idx: u32) -> NodeId {
     NodeId::new(idx)
 }
 
@@ -872,19 +825,15 @@ impl Server {
         if let Some(pipeline) = state.durability.lock().as_ref() {
             pipeline.set_metrics(state.telemetry.pipeline_metrics());
         }
-        // Under rotation every server leads some heights, so every
-        // server needs the quorum tracker for the outcomes it withholds.
-        let quorum = (config.quorum_acks
-            && (config.idx == COORDINATOR_IDX || config.rotate_leaders))
-            .then(|| {
-                Arc::new(QuorumAcks {
-                    quorum: (config.n_servers as usize / 2) + 1,
-                    sender: endpoint.sender(),
-                    keypair,
-                    from: endpoint.node(),
-                    inner: parking_lot::Mutex::new(QuorumInner::default()),
-                })
-            });
+        let quorum = (config.quorum_acks && config.idx == COORDINATOR_IDX).then(|| {
+            Arc::new(QuorumAcks {
+                quorum: (config.n_servers as usize / 2) + 1,
+                sender: endpoint.sender(),
+                keypair,
+                from: endpoint.node(),
+                inner: parking_lot::Mutex::new(QuorumInner::default()),
+            })
+        });
         let peer_last_heard = (0..config.n_servers)
             .map(|peer| {
                 state
@@ -925,41 +874,13 @@ impl Server {
         self.config.idx == COORDINATOR_IDX
     }
 
-    /// Whether deterministic leader rotation is active (TFCommit only —
-    /// 2PC keeps the fixed designated coordinator).
-    fn rotation_on(&self) -> bool {
-        self.config.rotate_leaders && matches!(self.config.protocol, CommitProtocol::TfCommit)
-    }
-
-    /// The leader of the round at `height`.
-    fn leader_of(&self, height: u64) -> u32 {
-        leader_for_height(height, self.config.n_servers, self.rotation_on())
-    }
-
-    /// The height the next formed block will occupy — the frontier
-    /// round. Takes the ledger lock; never call while holding a stage
-    /// lock.
-    fn frontier_height(&self) -> u64 {
-        self.state.ledger.lock().log.next_height()
-    }
-
-    /// Whether this server leads the frontier round (and may therefore
-    /// form the next batch).
-    fn leads_frontier(&self) -> bool {
-        if self.rotation_on() {
-            self.leader_of(self.frontier_height()) == self.config.idx
-        } else {
-            self.is_coordinator()
-        }
-    }
-
     /// The server's message loop. Returns when a `Shutdown` message
     /// arrives or the network disappears.
     ///
     /// Each pass hands at most one message to `Server::dispatch`,
     /// then ticks: an open round past its phase deadline times out, a
-    /// due batch opens the next round, and the forwarding, repair and
-    /// watchdog upkeep runs. A leader opens a round as soon as a full
+    /// due batch opens the next round, and the repair and watchdog
+    /// upkeep runs. A leader opens a round as soon as a full
     /// batch is pending, or when the oldest pending end-txn has waited
     /// `flush_interval` — a hard deadline, so block formation keeps
     /// pace even while execution traffic streams in continuously.
@@ -973,10 +894,9 @@ impl Server {
         while self.running {
             // An open round waits for its phase deadline; the batch
             // deadline matters only once no round is open.
-            let wake = match (&self.round, self.batch_deadline) {
-                (Some(round), _) => Some(round.deadline),
-                (None, deadline) if self.is_coordinator() || self.rotation_on() => deadline,
-                _ => None,
+            let wake = match &self.round {
+                Some(round) => Some(round.deadline),
+                None => self.batch_deadline,
             };
             let timeout = wake.map_or(self.config.flush_interval, |wake| {
                 wake.saturating_duration_since(Instant::now())
@@ -993,7 +913,6 @@ impl Server {
             }
             self.expire_round();
             self.drive_rounds();
-            self.maybe_forward_pending();
             self.drive_repair();
             self.tick_watchdog();
         }
@@ -1016,20 +935,14 @@ impl Server {
         if self.config.stall_timeout.is_zero() {
             return;
         }
-        let frontier = self.frontier_height();
+        let frontier = self.state.next_height();
         if frontier != self.watchdog.last_frontier {
             self.watchdog.last_frontier = frontier;
             self.watchdog.since = Instant::now();
             self.watchdog.fired_for = None;
             return;
         }
-        let (witness_heights, gated) = {
-            let exec = self.state.exec.lock();
-            (
-                exec.witnesses.keys().copied().collect::<Vec<u64>>(),
-                exec.gated_votes.len() + exec.gated_challenges.len(),
-            )
-        };
+        let witness_heights: Vec<u64> = self.state.exec.lock().witnesses.keys().copied().collect();
         if witness_heights.is_empty() && self.pending.is_empty() {
             // Nothing outstanding: a still frontier is just quiet.
             self.watchdog.since = Instant::now();
@@ -1041,7 +954,7 @@ impl Server {
         }
         self.watchdog.fired_for = Some(frontier);
         let stall = Stall {
-            leader: self.leader_of(frontier) as u64,
+            leader: COORDINATOR_IDX as u64,
             height: frontier,
             waited_ms: waited.as_millis() as u64,
         };
@@ -1058,7 +971,6 @@ impl Server {
             format!("observer: server {}", self.config.idx),
             format!("live CoSi witnesses at heights {witness_heights:?}"),
             format!("queued end-txns: {}", self.pending.len()),
-            format!("gated rounds (votes+challenges): {gated}"),
         ];
         if self.state.is_repairing() {
             notes.push("shard is repairing".to_string());
@@ -1125,7 +1037,7 @@ impl Server {
         if self.repair_task.is_some() || self.state.is_repairing() {
             return;
         }
-        while self.round.is_none() && self.leads_frontier() && !self.pending.is_empty() {
+        while self.round.is_none() && !self.pending.is_empty() {
             let due = self.pending.len() >= self.config.batch_size
                 || self
                     .batch_deadline
@@ -1134,53 +1046,6 @@ impl Server {
                 return;
             }
         }
-    }
-
-    /// Rotation liveness *and* batch concentration: a server holding
-    /// queued end-txns it does not lead at the frontier (clients aim at
-    /// an estimated leader and may race a leadership change) hands them
-    /// to the frontier leader immediately. Forwarding eagerly — rather
-    /// than waiting out the batch deadline — keeps the whole cluster's
-    /// backlog concentrated at the one server about to run a round, so
-    /// rotating blocks stay as full as fixed-coordinator blocks. A
-    /// forward that races another leadership change simply hops again
-    /// from the new recipient until it lands on the current leader.
-    fn maybe_forward_pending(&mut self) {
-        if !self.rotation_on()
-            || self.pending.is_empty()
-            || self.repair_task.is_some()
-            || self.state.is_repairing()
-        {
-            return;
-        }
-        if !self.leads_frontier() {
-            self.forward_pending();
-        }
-    }
-
-    /// Sends every queued end-txn to the frontier leader as
-    /// [`Message::EndTxnFwd`]. The forward carries the originating
-    /// client's raw node id so the leader answers the client directly.
-    fn forward_pending(&mut self) {
-        let leader = self.leader_of(self.frontier_height());
-        if leader == self.config.idx {
-            return;
-        }
-        for txn in std::mem::take(&mut self.pending) {
-            // A sampled txn's context rides the forward envelope, so
-            // the eventual leader still parents the round under the
-            // client's root span.
-            self.send_traced(
-                server_node(leader),
-                &Message::EndTxnFwd {
-                    client: txn.client.raw(),
-                    handle: txn.handle,
-                    record: txn.record,
-                },
-                txn.trace,
-            );
-        }
-        self.batch_deadline = None;
     }
 
     fn send(&self, to: NodeId, msg: &Message) {
@@ -1223,21 +1088,10 @@ impl Server {
                 // is pending.
                 self.handle_end_txn(from, handle, record, trace);
             }
-            Message::EndTxnFwd {
-                client,
-                handle,
-                record,
-            } if self.rotation_on() && from.raw() < self.config.n_servers => {
-                self.enqueue_end_txn(NodeId::new(client), handle, record, trace);
-            }
             Message::Flush if !self.pending.is_empty() && !self.state.is_repairing() => {
-                if self.leads_frontier() {
-                    // Due now: the loop's tick opens the round, unless
-                    // one is open (its end restarts the batch window).
-                    self.batch_deadline = Some(Instant::now());
-                } else if self.rotation_on() {
-                    self.forward_pending();
-                }
+                // Due now: the loop's tick opens the round, unless one
+                // is open (its end restarts the batch window).
+                self.batch_deadline = Some(Instant::now());
             }
             Message::GetVote { partial } => self.handle_get_vote(from, partial, trace),
             Message::Challenge {
@@ -1284,7 +1138,7 @@ impl Server {
             } => self.handle_snapshot_read(from, req, parts, min_covered, at_height),
             Message::RootQuery { from: from_height } => self.handle_root_query(from, from_height),
             Message::Shutdown => self.running = false,
-            // Replies meant for clients, and forwards outside rotation.
+            // Replies meant for clients.
             _ => {}
         }
     }
@@ -1329,30 +1183,17 @@ impl Server {
         self.send(from, &Message::WriteAck { txn, key, old });
     }
 
+    /// Queues a client's termination request for the next batch.
     fn handle_end_txn(
-        &mut self,
-        from: NodeId,
-        handle: TxnHandle,
-        record: TxnRecord,
-        trace: Option<TraceContext>,
-    ) {
-        if !self.is_coordinator() && !self.rotation_on() {
-            return; // only the designated coordinator terminates txns
-        }
-        self.enqueue_end_txn(from, handle, record, trace);
-    }
-
-    /// Queues a termination request (from a client directly, or relayed
-    /// by a peer via [`Message::EndTxnFwd`]). Under rotation every
-    /// server queues; a non-leader hands its queue to the frontier
-    /// leader when the batch deadline passes.
-    fn enqueue_end_txn(
         &mut self,
         client: NodeId,
         handle: TxnHandle,
         record: TxnRecord,
         trace: Option<TraceContext>,
     ) {
+        if !self.is_coordinator() {
+            return; // only the designated coordinator terminates txns
+        }
         let last = self.state.last_committed();
         if record.id <= last {
             // §4.3.1: "servers ignore any end transaction request with a
@@ -1362,7 +1203,7 @@ impl Server {
             return;
         }
         if self.pending.iter().any(|p| p.handle == handle) {
-            return; // forwarded duplicate of a request already queued
+            return; // a duplicate of a request already queued
         }
         if self.pending.is_empty() {
             self.batch_deadline = Some(Instant::now() + self.config.flush_interval);
@@ -1468,24 +1309,11 @@ impl Server {
         partial: PartialBlock,
         trace: Option<TraceContext>,
     ) {
-        if self.rotation_on() {
-            if from.raw() != self.leader_of(partial.height) {
-                return; // not that round's leader — ignore
-            }
-            let tip = self.frontier_height();
-            if partial.height < tip {
-                return; // stale round; the chain moved past it
-            }
-            if partial.height > tip {
-                // The next leader raced our application of the previous
-                // decision: park the round and vote right after
-                // catch-up closes the gap.
-                let mut exec = self.state.exec.lock();
-                if exec.gated_votes.len() < MAX_GATED_ROUNDS {
-                    exec.gated_votes.insert(partial.height, (from, partial));
-                }
-                return;
-            }
+        if from != LEADER {
+            // Only the leader opens rounds: a vote request from anyone
+            // else would replace this round's CoSi witness, and the
+            // honest answer to the real challenge would then fail.
+            return;
         }
         let t0 = Instant::now();
         let start_ns = now_ns();
@@ -1587,40 +1415,11 @@ impl Server {
         trace: Option<TraceContext>,
     ) {
         let height = block.height;
-        if self.rotation_on() {
-            if from.raw() != self.leader_of(height) {
-                // Fork guard, rotation case: only `height % n` may
-                // assemble the challenge for this height.
-                self.state.telemetry.events.record(
-                    Level::Warn,
-                    "commit",
-                    format!("refused to co-sign height {height}: WrongLeader"),
-                );
-                self.state
-                    .ledger
-                    .lock()
-                    .refusals
-                    .push((height, Refusal::WrongLeader));
-                self.send(
-                    from,
-                    &Message::Response {
-                        height,
-                        result: Err(Refusal::WrongLeader),
-                    },
-                );
-                return;
-            }
-            if height > self.frontier_height() {
-                // Reordered ahead of the decision we have not applied
-                // yet: park and replay after catch-up. (A height below
-                // the tip falls through to the StaleHeight refusal.)
-                let mut exec = self.state.exec.lock();
-                if exec.gated_challenges.len() < MAX_GATED_ROUNDS {
-                    exec.gated_challenges
-                        .insert(height, (from, Box::new(block), aggregate, challenge));
-                }
-                return;
-            }
+        if from != LEADER {
+            // Fork guard: only the leader assembles a challenge. Anyone
+            // else's would use up the witness the real one needs.
+            self.refuse(from, height, Refusal::WrongLeader);
+            return;
         }
         let t0 = Instant::now();
         let start_ns = now_ns();
@@ -1640,15 +1439,28 @@ impl Server {
                 height,
             );
         }
-        if let Err(refusal) = &result {
-            self.state.telemetry.events.record(
-                Level::Warn,
-                "commit",
-                format!("refused to co-sign height {height}: {refusal:?}"),
-            );
-            self.state.ledger.lock().refusals.push((height, *refusal));
+        match result {
+            Err(refusal) => self.refuse(from, height, refusal),
+            Ok(_) => self.send(from, &Message::Response { height, result }),
         }
-        self.send(from, &Message::Response { height, result });
+    }
+
+    /// Refuses to co-sign `height`: records the refusal as first-hand
+    /// evidence and answers `to` with it.
+    fn refuse(&self, to: NodeId, height: u64, refusal: Refusal) {
+        self.state.telemetry.events.record(
+            Level::Warn,
+            "commit",
+            format!("refused to co-sign height {height}: {refusal:?}"),
+        );
+        self.state.ledger.lock().refusals.push((height, refusal));
+        self.send(
+            to,
+            &Message::Response {
+                height,
+                result: Err(refusal),
+            },
+        );
     }
 
     /// Phase 5: verify the co-sign, then append and apply (§4.1 steps
@@ -1710,36 +1522,6 @@ impl Server {
     /// stopping at the first invalid one (which cannot be linked into
     /// the chain, and whose absence will surface at the audit).
     fn catch_up(&mut self) {
-        self.catch_up_decisions();
-        self.drain_gated();
-    }
-
-    /// Rotation: replays `GetVote`/`Challenge` phases that were parked
-    /// because they arrived ahead of the log tip, now that catch-up may
-    /// have closed the gap. Entries the chain moved past are dropped.
-    fn drain_gated(&mut self) {
-        if !self.rotation_on() {
-            return;
-        }
-        let tip = self.frontier_height();
-        let (vote, challenge) = {
-            let mut exec = self.state.exec.lock();
-            exec.gated_votes.retain(|&h, _| h >= tip);
-            exec.gated_challenges.retain(|&h, _| h >= tip);
-            (
-                exec.gated_votes.remove(&tip),
-                exec.gated_challenges.remove(&tip),
-            )
-        };
-        if let Some((from, partial)) = vote {
-            self.handle_get_vote(from, partial, None);
-        }
-        if let Some((from, block, aggregate, scalar)) = challenge {
-            self.handle_challenge(from, *block, aggregate, scalar, None);
-        }
-    }
-
-    fn catch_up_decisions(&mut self) {
         if self.repair_task.is_some() {
             return; // frozen while a transfer is staging
         }
@@ -2799,8 +2581,6 @@ impl Server {
         // transferred blocks follow. With quorum acks on, a repaired
         // cohort also reports the transferred heights durable — the
         // coordinator may still be withholding outcomes for them.
-        // Under rotation the repairer is a cohort for every height it
-        // did not lead.
         {
             let durability = self.state.durability.lock();
             if let Some(pipeline) = durability.as_ref() {
@@ -2811,11 +2591,9 @@ impl Server {
                     pipeline.submit_block(block);
                 }
             }
-            if self.config.quorum_acks {
+            if self.config.quorum_acks && !self.is_coordinator() {
                 for block in &task.staged {
-                    if self.leader_of(block.height) != self.config.idx {
-                        self.report_durable(durability.as_ref(), block.height);
-                    }
+                    self.report_durable(durability.as_ref(), block.height);
                 }
             }
         }
@@ -3012,7 +2790,7 @@ impl Server {
             if let Some(pipeline) = durability.as_ref() {
                 pipeline.submit_block_traced(&block, trace);
             }
-            if self.config.quorum_acks && self.leader_of(height) != self.config.idx {
+            if self.config.quorum_acks && !self.is_coordinator() {
                 self.report_durable(durability.as_ref(), height);
             }
             drop(durability);
@@ -3153,14 +2931,13 @@ impl Server {
         }
     }
 
-    /// Tells the leader of `height` that this cohort's copy of the
-    /// block is durable (quorum acks): from the writer thread once the
+    /// Tells the leader that this cohort's copy of block `height` is
+    /// durable (quorum acks): from the writer thread once the
     /// covering fsync lands, or at once without a durability engine (a
     /// memory-only cohort has nothing a crash could take back).
     fn report_durable(&self, pipeline: Option<&CommitPipeline>, height: u64) {
-        let leader = server_node(self.leader_of(height));
         let Some(pipeline) = pipeline else {
-            self.send(leader, &Message::Durable { height });
+            self.send(LEADER, &Message::Durable { height });
             return;
         };
         let sender = self.endpoint.sender();
@@ -3170,7 +2947,7 @@ impl Server {
             height,
             Box::new(move || {
                 let msg = Message::Durable { height };
-                sender.send(Envelope::sign(&keypair, from, leader, msg.encode()));
+                sender.send(Envelope::sign(&keypair, from, LEADER, msg.encode()));
             }),
         );
     }
@@ -3365,7 +3142,6 @@ mod tests {
                 mirror_checkpoints: true,
                 quorum_acks: false,
                 snapshot_interval: 0,
-                rotate_leaders: false,
                 stall_timeout: Duration::ZERO,
             };
             let server_pks: Vec<PublicKey> = servers.iter().map(KeyPair::public_key).collect();
@@ -3609,6 +3385,60 @@ mod tests {
         assert_eq!(h.finish_round().height, 1);
         h.stop().expect("leader thread");
         assert_eq!(h.state.metrics().counter("commit.round.timeouts"), 0);
+    }
+
+    /// Only the leader opens rounds and assembles challenges. With a
+    /// round open, the client's `GetVote` for the open height gets no
+    /// vote and its `Challenge` a `WrongLeader` refusal, so the
+    /// leader's CoSi witness survives: the round decides with a valid
+    /// co-signature and names no culprit.
+    #[test]
+    fn only_the_leader_opens_rounds_and_challenges() {
+        let mut h = Harness::start();
+        h.end_txn(1, 0);
+        let (partial, vote) = h.vote(1);
+        h.send(1, vote);
+        let (_, withheld) = h.vote(2);
+
+        // A vote request for the open height, then a challenge on a
+        // made-up block that passes every check but the sender's.
+        h.send(
+            CLIENT,
+            Message::GetVote {
+                partial: partial.clone(),
+            },
+        );
+        let forged = fides_ledger::block::BlockBuilder::new(partial.height, partial.prev_hash)
+            .decision(Decision::Abort)
+            .build_unsigned();
+        let aggregate = Witness::commit(&h.parties[CLIENT].0, b"forged", b"").commitment();
+        let challenge = cosi::challenge(&aggregate.0, &forged.signing_bytes());
+        h.send(
+            CLIENT,
+            Message::Challenge {
+                block: forged,
+                aggregate,
+                challenge,
+            },
+        );
+        let mut voted = false;
+        let (height, result) = h.expect(CLIENT, "Response", |m| match m {
+            Message::Vote { .. } => {
+                voted = true;
+                None
+            }
+            Message::Response { height, result } => Some((height, result)),
+            _ => None,
+        });
+        assert!(!voted, "a client's GetVote was answered");
+        assert_eq!(height, partial.height);
+        assert!(matches!(result, Err(Refusal::WrongLeader)), "{result:?}");
+
+        h.send(2, withheld);
+        let block = h.finish_round();
+        assert_eq!((block.height, block.decision), (0, Decision::Commit));
+        assert!(h.state.cosi_culprits().is_empty());
+        assert_eq!(h.state.refusals(), [(0, Refusal::WrongLeader)]);
     }
 
     /// One snapshot read answers each distinct shard once, in request

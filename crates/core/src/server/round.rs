@@ -15,8 +15,7 @@
 //! * every other message gets the handler it gets between rounds.
 //!
 //! Every round ends in [`Server::end_round`], which closes the round
-//! span and books `commit.rounds`, `commit.rounds_led` and the round
-//! stats.
+//! span and books `commit.rounds` and the round stats.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -526,7 +525,6 @@ impl Server {
         }
         let elapsed = round.start.elapsed();
         self.state.telemetry.rounds.inc();
-        self.state.telemetry.rounds_led.inc();
         {
             let mut ledger = self.state.ledger.lock();
             // Committed iff the round appended a commit block.

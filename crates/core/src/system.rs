@@ -25,6 +25,7 @@ use crate::partition::Partitioner;
 use crate::recovery::{recover_server, PersistenceConfig, ServerStartError};
 use crate::server::{
     admin_node, client_node, server_node, Directory, Server, ServerConfig, ServerState,
+    COORDINATOR_IDX, LEADER,
 };
 
 /// Cluster construction parameters.
@@ -58,10 +59,6 @@ pub struct ClusterConfig {
     /// incomplete-log violation) before the audit treats the missing
     /// tail as an omission fault after all.
     pub repair_grace: Duration,
-    /// Rotate commit leadership by block height (`height % n_servers`)
-    /// instead of pinning every round on the designated coordinator.
-    /// TFCommit only; see [`crate::server::ServerConfig::rotate_leaders`].
-    pub rotate_leaders: bool,
     /// Liveness watchdog threshold (see
     /// [`crate::server::ServerConfig::stall_timeout`]). `None` follows
     /// `round_timeout`; `Some(Duration::ZERO)` disables the watchdog.
@@ -84,7 +81,6 @@ impl ClusterConfig {
             initial_value: 100,
             persistence: None,
             repair_grace: Duration::from_secs(30),
-            rotate_leaders: false,
             stall_timeout: None,
         }
     }
@@ -93,12 +89,6 @@ impl ClusterConfig {
     /// disables it; the default follows `round_timeout`).
     pub fn stall_timeout(mut self, timeout: Duration) -> Self {
         self.stall_timeout = Some(timeout);
-        self
-    }
-
-    /// Enables (or disables) rotating commit leadership.
-    pub fn rotate_leaders(mut self, rotate: bool) -> Self {
-        self.rotate_leaders = rotate;
         self
     }
 
@@ -372,7 +362,6 @@ impl FidesCluster {
                 .persistence
                 .as_ref()
                 .map_or(0, |p| p.snapshot_interval),
-            rotate_leaders: config.rotate_leaders,
             stall_timeout: config.stall_timeout.unwrap_or(config.round_timeout),
         }
     }
@@ -443,9 +432,6 @@ impl FidesCluster {
             self.config.protocol,
         )
         .with_read_context(self.genesis_roots.clone(), Arc::clone(&self.read_evidence))
-        .with_rotation(
-            self.config.rotate_leaders && matches!(self.config.protocol, CommitProtocol::TfCommit),
-        )
     }
 
     /// The deterministic genesis composite root of every shard — what a
@@ -498,19 +484,14 @@ impl FidesCluster {
     }
 
     /// Asks the commit leader to terminate any pending partial batch.
-    /// Under rotating leadership any server may hold queued end-txns,
-    /// so the flush goes to every server (a server with nothing queued
-    /// ignores it).
     pub fn flush(&self) {
-        for s in 0..self.config.n_servers {
-            let env = Envelope::sign(
-                &self.admin_kp,
-                admin_node(),
-                server_node(s),
-                Message::Flush.encode(),
-            );
-            self.admin.send(env);
-        }
+        let env = Envelope::sign(
+            &self.admin_kp,
+            admin_node(),
+            LEADER,
+            Message::Flush.encode(),
+        );
+        self.admin.send(env);
     }
 
     /// Waits until all *running* server logs converge to the same tip
@@ -737,15 +718,9 @@ impl FidesCluster {
     }
 
     /// The cluster's commit-round statistics (the paper's commit
-    /// latency metric) — summed over every server, since under rotating
-    /// leadership each leads the rounds at its heights. With the fixed
-    /// coordinator every non-coordinator contributes zeros.
+    /// latency metric): the leader's, since it runs every round.
     pub fn round_stats(&self) -> crate::server::RoundStats {
-        let mut stats = crate::server::RoundStats::default();
-        for state in &self.states {
-            stats.merge(&state.round_stats());
-        }
-        stats
+        self.states[COORDINATOR_IDX as usize].round_stats()
     }
 
     /// Zeroes every server's Merkle statistics.

@@ -56,14 +56,10 @@ pub struct ServerTelemetry {
     pub stages: StageTimers,
     /// Commit rounds driven to completion (coordinator).
     pub rounds: Arc<Counter>,
-    /// Rounds this server led as the (possibly rotating) commit leader —
-    /// under rotation every server's count grows; the differential
-    /// tests assert leadership actually spread.
-    pub rounds_led: Arc<Counter>,
-    /// Rounds currently open from this server's point of view: votes
-    /// cast (CoSi witness live) whose decision has not yet applied. The
-    /// high watermark > 1 is the signature of overlapped rounds under
-    /// rotating leadership.
+    /// Rounds this server voted in whose challenge has not been
+    /// answered or whose block has not been applied: live CoSi
+    /// witnesses. One leader runs one round at a time, so it reads 0 or
+    /// 1; a watermark above 1 means a witness outlived its round.
     pub inflight_rounds: Arc<fides_telemetry::Gauge>,
     /// Rounds that hit a vote/response collection timeout.
     pub round_timeouts: Arc<Counter>,
@@ -119,7 +115,6 @@ impl ServerTelemetry {
             stall_log: Arc::new(StallLog::new()),
             stages,
             rounds: registry.counter("commit.rounds"),
-            rounds_led: registry.counter("commit.rounds_led"),
             inflight_rounds: registry.gauge("commit.inflight_rounds"),
             round_timeouts: registry.counter("commit.round.timeouts"),
             stalls: registry.counter("watchdog.stalls"),

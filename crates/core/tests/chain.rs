@@ -1,20 +1,13 @@
-//! Rotating-leadership integration tests: the `height % n` leader
-//! schedule must change *who* drives each commit round without changing
-//! *what* the cluster agrees on.
+//! Integration tests of the chain the leader builds.
 //!
-//! * Chain equivalence — a rotating cluster running the same
-//!   deterministic workload as a fixed-coordinator cluster produces a
-//!   byte-identical co-signed chain (the leader's identity never leaks
-//!   into the signed bytes; the deterministic CoSi nonces and the
-//!   canonical block encoding are leader-agnostic).
-//! * Pinned chain bytes — the fixed-leader chain of that workload, under
-//!   TFCommit and under the §6.1 2PC baseline, hashes to a recorded
-//!   SHA-256: a change to how the leader drives its round that moves a
-//!   single encoded byte fails here.
-//! * Speculative-OCC safety — with rounds overlapped across rotating
-//!   leaders, no committed transaction ever read a stale version:
-//!   replaying the committed chain in height order, every read's `wts`
-//!   matches the newest committed write below it.
+//! * Pinned chain bytes — the leader's chain of a deterministic
+//!   sequential workload, under TFCommit and under the §6.1 2PC
+//!   baseline, hashes to a recorded SHA-256: a change to how the leader
+//!   drives its round that moves a single encoded byte fails here.
+//! * Speculative-OCC safety — under contended pipelined commits, no
+//!   committed transaction ever read a stale version: replaying the
+//!   committed chain in height order, every read's `wts` matches the
+//!   newest committed write below it.
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -30,15 +23,10 @@ use fides_store::{Key, Timestamp};
 const N_SERVERS: u32 = 4;
 const ITEMS_PER_SHARD: usize = 64;
 
-fn config(rotate: bool) -> ClusterConfig {
-    config_for(CommitProtocol::TfCommit, rotate)
-}
-
-fn config_for(protocol: CommitProtocol, rotate: bool) -> ClusterConfig {
+fn config_for(protocol: CommitProtocol) -> ClusterConfig {
     ClusterConfig::new(N_SERVERS)
         .items_per_shard(ITEMS_PER_SHARD)
         .protocol(protocol)
-        .rotate_leaders(rotate)
         .batch_size(1)
         .max_clients(8)
 }
@@ -91,7 +79,7 @@ fn fixed_leader_chains_match_pinned_digests() {
             "6323eb423048c57a895cf5cb9d642600cf47cc118c46957eafd68c45b09719f7",
         ),
     ] {
-        let cluster = FidesCluster::start(config_for(protocol, false));
+        let cluster = FidesCluster::start(config_for(protocol));
         let blocks = run_sequential_workload(&cluster);
         cluster.shutdown();
         assert_eq!(
@@ -107,59 +95,16 @@ fn fixed_leader_chains_match_pinned_digests() {
     }
 }
 
-/// The tentpole's differential guarantee: rotation changes the leader
-/// schedule, not the agreed history. The same deterministic workload
-/// driven through a fixed-coordinator cluster and a rotating cluster
-/// yields byte-identical co-signed blocks — and under rotation the
-/// leadership really did spread (every server led its `height % n`
-/// share of the rounds).
-#[test]
-fn rotating_chain_byte_identical_to_fixed_coordinator() {
-    let fixed_blocks = {
-        let cluster = FidesCluster::start(config(false));
-        let blocks = run_sequential_workload(&cluster);
-        cluster.shutdown();
-        blocks
-    };
-
-    let cluster = FidesCluster::start(config(true));
-    let rotating_blocks = run_sequential_workload(&cluster);
-    for s in 0..N_SERVERS {
-        let led = cluster.server_metrics(s).counter("commit.rounds_led");
-        assert!(led > 0, "server {s} never led a round under rotation");
-    }
-    cluster.shutdown();
-
-    assert_eq!(
-        fixed_blocks.len(),
-        rotating_blocks.len(),
-        "both schedules terminate the same rounds"
-    );
-    assert!(
-        fixed_blocks.len() as u32 >= N_SERVERS,
-        "enough blocks to rotate through every leader"
-    );
-    for (fixed, rotating) in fixed_blocks.iter().zip(&rotating_blocks) {
-        assert_eq!(
-            fixed.encode(),
-            rotating.encode(),
-            "block {} differs between schedules",
-            fixed.height
-        );
-    }
-}
-
-/// Overlapped speculative OCC under rotation never commits a stale
-/// read. Conflict-heavy pipelined clients keep several commits in
-/// flight while leadership rotates every height; afterwards the
+/// Speculative OCC never commits a stale read. Conflict-heavy
+/// pipelined clients keep several commits in flight; afterwards the
 /// committed chain is replayed in height order against a last-writer
 /// map — every committed read must carry the `wts` of the newest
 /// committed write below its block (the §4.3.1 certification rule,
 /// checked here independently of the auditor).
 #[test]
-fn overlapped_rotation_never_commits_stale_reads() {
+fn contended_commits_never_read_stale() {
     let cluster = FidesCluster::start(
-        config(true)
+        config_for(CommitProtocol::TfCommit)
             .batch_size(8)
             .flush_interval(Duration::from_millis(5)),
     );
@@ -223,12 +168,6 @@ fn overlapped_rotation_never_commits_stale_reads() {
         .settle(Duration::from_secs(5))
         .expect("logs converge");
     assert!(cluster.audit().is_clean());
-
-    // Leadership spread even under the contended pipelined load.
-    let leaders = (0..N_SERVERS)
-        .filter(|&s| cluster.server_metrics(s).counter("commit.rounds_led") > 0)
-        .count();
-    assert!(leaders > 1, "rotation never moved the leader");
 
     // Independent stale-read replay over the committed chain.
     let log = cluster.server_state(0).log();

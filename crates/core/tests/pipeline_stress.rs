@@ -229,8 +229,8 @@ fn stage_breakdown_tiles_round_latency() {
     }
 
     // (b) The stage laps tile the measured round latency **per
-    // round**. With overlapped rounds and tail stages deferred across
-    // rounds (batched outcome fan-out, group-commit hand-off) the
+    // round**. With tail stages deferred across rounds (batched
+    // outcome fan-out, group-commit hand-off) the
     // per-stage sample counts no longer all equal the round count, so
     // the absolute sums cannot be compared — the per-round means still
     // tile: the summed mean stage lap lands within the residual of the

@@ -772,10 +772,11 @@ fn dead_read_target_costs_a_share_of_the_op_timeout() {
     let mut reader = cluster.client(1);
     let op_timeout = Duration::from_secs(1);
     reader.set_op_timeout(op_timeout);
-    // Each later read starts its rotation elsewhere, so the dead server
-    // is met first by the fast path or by a per-shard fallback. Either
-    // way it costs one candidate's share of the op-timeout, and every
-    // read completes within the op-timeout.
+    // That costs one candidate's share of the op-timeout. The timeout
+    // moves the dead server to the back of the rotation, so the later
+    // reads, which start their rotation elsewhere, try it last and
+    // never wait on it: all six finish within one op-timeout.
+    let start = Instant::now();
     for i in 0..6 {
         let t0 = Instant::now();
         let values = reader
@@ -785,6 +786,8 @@ fn dead_read_target_costs_a_share_of_the_op_timeout() {
         assert!(took < op_timeout, "read {i} took {took:?}");
         assert!(values.iter().all(Option::is_some), "read {i}: {values:?}");
     }
+    let total = start.elapsed();
+    assert!(total < op_timeout, "six reads took {total:?}");
     assert!(cluster.read_evidence().is_empty());
     cluster.shutdown();
 }

@@ -18,7 +18,7 @@ use crate::registry::MetricsSnapshot;
 /// the server whose round it is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Stall {
-    /// The rotation leader for the stalled height.
+    /// The leader of the stalled round.
     pub leader: u64,
     /// The frontier height that stopped advancing.
     pub height: u64,
