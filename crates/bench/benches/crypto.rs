@@ -71,8 +71,8 @@ fn bench_schnorr(c: &mut Criterion) {
     group.bench_function("table_build", |b| {
         b.iter(|| FixedBaseTable::new(std::hint::black_box(&kp.public_key().point())))
     });
-    // The kept pre-GLV full-width wNAF ladder — the "before" side of
-    // BENCH_PR6.json's schnorr_verify entry.
+    // The kept pre-GLV full-width wNAF ladder. CI requires `verify`'s
+    // median to beat this one's.
     group.bench_function("verify_wnaf", |b| {
         b.iter(|| kp.public_key().verify_wnaf(std::hint::black_box(msg), &sig))
     });

@@ -1,5 +1,7 @@
 //! The experiment harness behind the figure binaries (`fig12`–`fig15`)
-//! and the Criterion benches.
+//! and the Criterion benches. Performance claims about the system are
+//! judged by `fidesbench/` instead; this crate reproduces the paper's
+//! evaluation.
 //!
 //! Each experiment matches the paper's setup (§6): a cluster of
 //! database servers in one (simulated) datacenter, a
@@ -16,11 +18,9 @@
 //!
 //! Environment knobs: `FIDES_TXNS` (client requests per run, default
 //! 1000), `FIDES_LATENCY_US` (one-way per-message latency, default
-//! 500 µs — an intra-datacenter figure standing in for the paper's EC2
+//! 150 µs — an intra-datacenter figure standing in for the paper's EC2
 //! placement), `FIDES_RUNS` (averaging runs, default 1; the paper
 //! averages 3).
-
-pub mod primitives;
 
 use std::time::{Duration, Instant};
 
@@ -97,9 +97,8 @@ pub fn run_experiment(params: &ExperimentParams) -> ExperimentResult {
     // Enough concurrent clients to keep the commit pipeline full: the
     // execution phase (signed per-item reads/writes) overlaps with the
     // coordinator's serialized protocol rounds. More clients than that
-    // only add execution traffic that pads the measured rounds
-    // (`FIDES_CLIENTS` overrides).
-    let n_clients = env_usize("FIDES_CLIENTS", params.batch_size.clamp(6, 128)) as u32;
+    // only add execution traffic that pads the measured rounds.
+    let n_clients = params.batch_size.clamp(6, 128) as u32;
     let cluster = FidesCluster::start(
         ClusterConfig::new(params.n_servers)
             .items_per_shard(params.items_per_shard)

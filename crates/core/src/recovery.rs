@@ -97,25 +97,12 @@ pub struct PersistenceConfig {
     /// snapshot; the audit then seeds its replay from each server's
     /// surrendered checkpoint.
     pub archive_pruned: bool,
-    /// Broadcast every saved snapshot to peers as a checkpoint
-    /// *mirror*, and persist received mirrors. This is what keeps a
-    /// server repairable after the whole fleet prunes below its crash
-    /// height: its own shard image can be fetched back from any peer
-    /// (checkpoint state transfer).
-    pub mirror_checkpoints: bool,
     /// Acknowledge client outcomes only once a **quorum** of servers
     /// (majority, coordinator included) reports the block durable —
     /// closing the gap where an ack covered only the coordinator's
     /// copy. Cohorts report with `Message::Durable` from their WAL
     /// writer thread once their own fsync covers the block.
     pub quorum_acks: bool,
-    /// How long the pipelined WAL writer keeps gathering appends after
-    /// its greedy queue drain before issuing the covering fsync (see
-    /// [`fides_durability::PipelineConfig::gather_window`]). Zero — the
-    /// default — fsyncs as soon as the queue runs dry. A small window
-    /// lets a cohort's blocks from consecutive rounds share one disk
-    /// round trip (the `durability.batch_blocks` mean rises above 1).
-    pub gather_window: std::time::Duration,
 }
 
 impl PersistenceConfig {
@@ -127,9 +114,7 @@ impl PersistenceConfig {
             snapshot_interval: DEFAULT_SNAPSHOT_INTERVAL,
             prune_wal: false,
             archive_pruned: true,
-            mirror_checkpoints: true,
             quorum_acks: false,
-            gather_window: std::time::Duration::ZERO,
         }
     }
 
@@ -141,9 +126,7 @@ impl PersistenceConfig {
             snapshot_interval: DEFAULT_SNAPSHOT_INTERVAL,
             prune_wal: false,
             archive_pruned: true,
-            mirror_checkpoints: true,
             quorum_acks: false,
-            gather_window: std::time::Duration::ZERO,
         }
     }
 
@@ -173,24 +156,10 @@ impl PersistenceConfig {
         self
     }
 
-    /// Controls checkpoint mirroring to peers (see
-    /// [`PersistenceConfig::mirror_checkpoints`]).
-    pub fn mirror_checkpoints(mut self, mirror: bool) -> Self {
-        self.mirror_checkpoints = mirror;
-        self
-    }
-
     /// Enables quorum-durable client acknowledgements (see
     /// [`PersistenceConfig::quorum_acks`]).
     pub fn quorum_acks(mut self, quorum: bool) -> Self {
         self.quorum_acks = quorum;
-        self
-    }
-
-    /// Sets the pipelined writer's append-gather window (see
-    /// [`PersistenceConfig::gather_window`]).
-    pub fn gather_window(mut self, window: std::time::Duration) -> Self {
-        self.gather_window = window;
         self
     }
 
@@ -462,7 +431,6 @@ fn build_pipeline(
         durable_height,
         PipelineConfig {
             prune_wal: persistence.prune_wal,
-            gather_window: persistence.gather_window,
         },
         PruneFloor::new(mirrors.iter().map(|(origin, snap)| (*origin, snap.height))),
     )

@@ -543,8 +543,10 @@ pub struct ServerConfig {
     /// transfer could not be verified.
     pub repair: bool,
     /// Broadcast saved snapshots to peers as checkpoint mirrors and
-    /// persist received ones (see
-    /// [`crate::recovery::PersistenceConfig::mirror_checkpoints`]).
+    /// persist received ones. This keeps a server repairable after the
+    /// whole fleet prunes below its crash height: its own shard image
+    /// can be fetched back from any peer (checkpoint state transfer).
+    /// Every persisted cluster mirrors.
     pub mirror_checkpoints: bool,
     /// Withhold client outcomes until a majority of servers reports the
     /// block durable (see
@@ -1238,6 +1240,10 @@ impl Server {
         {
             let mut exec = self.state.exec.lock();
             exec.witnesses.insert(partial.height, witness);
+            // A vote at this height supersedes a round that timed out
+            // there: that round's root must not be held against this
+            // round's block, which may not involve this shard.
+            exec.sent_roots.remove(&partial.height);
             // Open rounds from this server's view: voted, not applied.
             self.state
                 .telemetry
@@ -1417,8 +1423,16 @@ impl Server {
         let height = block.height;
         if from != LEADER {
             // Fork guard: only the leader assembles a challenge. Anyone
-            // else's would use up the witness the real one needs.
-            self.refuse(from, height, Refusal::WrongLeader);
+            // else's would use up the witness the real one needs. The
+            // answer is not kept in `refusals`: anyone can send one, so
+            // it is evidence against no one.
+            self.send(
+                from,
+                &Message::Response {
+                    height,
+                    result: Err(Refusal::WrongLeader),
+                },
+            );
             return;
         }
         let t0 = Instant::now();
@@ -3389,9 +3403,11 @@ mod tests {
 
     /// Only the leader opens rounds and assembles challenges. With a
     /// round open, the client's `GetVote` for the open height gets no
-    /// vote and its `Challenge` a `WrongLeader` refusal, so the
+    /// vote and each of its `Challenge`s a `WrongLeader` refusal, so the
     /// leader's CoSi witness survives: the round decides with a valid
-    /// co-signature and names no culprit.
+    /// co-signature and names no culprit. The refusals are answered but
+    /// not kept: anyone can send one, so they are evidence against no
+    /// one, and `refusals` must not grow from outside input.
     #[test]
     fn only_the_leader_opens_rounds_and_challenges() {
         let mut h = Harness::start();
@@ -3413,32 +3429,33 @@ mod tests {
             .build_unsigned();
         let aggregate = Witness::commit(&h.parties[CLIENT].0, b"forged", b"").commitment();
         let challenge = cosi::challenge(&aggregate.0, &forged.signing_bytes());
-        h.send(
-            CLIENT,
-            Message::Challenge {
-                block: forged,
-                aggregate,
-                challenge,
-            },
-        );
+        let forged = Message::Challenge {
+            block: forged,
+            aggregate,
+            challenge,
+        };
         let mut voted = false;
-        let (height, result) = h.expect(CLIENT, "Response", |m| match m {
-            Message::Vote { .. } => {
-                voted = true;
-                None
-            }
-            Message::Response { height, result } => Some((height, result)),
-            _ => None,
-        });
+        for _ in 0..3 {
+            h.send(CLIENT, forged.clone());
+            let (height, result) = h.expect(CLIENT, "Response", |m| match m {
+                Message::Vote { .. } => {
+                    voted = true;
+                    None
+                }
+                Message::Response { height, result } => Some((height, result)),
+                _ => None,
+            });
+            assert_eq!(height, partial.height);
+            assert!(matches!(result, Err(Refusal::WrongLeader)), "{result:?}");
+        }
         assert!(!voted, "a client's GetVote was answered");
-        assert_eq!(height, partial.height);
-        assert!(matches!(result, Err(Refusal::WrongLeader)), "{result:?}");
+        assert!(h.state.refusals().is_empty(), "{:?}", h.state.refusals());
 
         h.send(2, withheld);
         let block = h.finish_round();
         assert_eq!((block.height, block.decision), (0, Decision::Commit));
         assert!(h.state.cosi_culprits().is_empty());
-        assert_eq!(h.state.refusals(), [(0, Refusal::WrongLeader)]);
+        assert!(h.state.refusals().is_empty(), "{:?}", h.state.refusals());
     }
 
     /// One snapshot read answers each distinct shard once, in request

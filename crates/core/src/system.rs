@@ -353,10 +353,7 @@ impl FidesCluster {
             flush_interval: config.flush_interval,
             round_timeout: config.round_timeout,
             repair: true,
-            mirror_checkpoints: config
-                .persistence
-                .as_ref()
-                .is_some_and(|p| p.mirror_checkpoints),
+            mirror_checkpoints: config.persistence.is_some(),
             quorum_acks: config.persistence.as_ref().is_some_and(|p| p.quorum_acks),
             snapshot_interval: config
                 .persistence

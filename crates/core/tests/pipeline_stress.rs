@@ -266,9 +266,20 @@ fn stage_breakdown_tiles_round_latency() {
             stage.name()
         );
     }
+    // Cluster-wide, every stage's percentiles are sane.
+    for stage in Stage::ALL {
+        let h = cluster_metrics.histogram(stage.metric_name());
+        let (p50, p99) = (h.percentile(50.0), h.percentile(99.0));
+        assert!(
+            p99 >= p50 && p50 > 0,
+            "stage {} percentiles bogus: p50 {p50} ns, p99 {p99} ns",
+            stage.name()
+        );
+    }
     // The asynchronous group-commit fsync is reported out-of-band of
     // the round clock.
-    assert!(cluster_metrics.histogram("durability.fsync_ns").count > 0);
+    let fsync = cluster_metrics.histogram("durability.fsync_ns");
+    assert!(fsync.count > 0 && fsync.percentile(50.0) > 0, "{fsync:?}");
     assert!(cluster_metrics.histogram("durability.batch_blocks").count > 0);
 
     cluster.shutdown();

@@ -1,17 +1,20 @@
 //! Repair-plane stress tests: a server killed mid-run restarts short
 //! (torn WAL, or total disk loss — including below every peer's
 //! pruned-WAL floor, forcing checkpoint transfer), rejoins through
-//! verified anti-entropy state transfer, and the final audit is clean
-//! with identical tip hashes on all servers. A Byzantine peer serving a
+//! verified anti-entropy state transfer, also while clients keep
+//! committing, and the final audit is clean with identical tip hashes
+//! on all servers. A Byzantine peer serving a
 //! tampered suffix or forged checkpoint is refuted and reported as
 //! audit evidence; a repairing server is lagging, not faulty, until
 //! the grace deadline.
 
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use fides_core::audit::ViolationKind;
 use fides_core::behavior::Behavior;
-use fides_core::recovery::PersistenceConfig;
+use fides_core::recovery::{MemoryCluster, PersistenceConfig};
 use fides_core::system::{ClusterConfig, FidesCluster};
 use fides_durability::{SyncPolicy, WalConfig};
 use fides_store::Key;
@@ -140,6 +143,125 @@ fn killed_server_rejoins_via_block_transfer() {
     assert!(report.is_clean(), "{report}");
     assert!(report.lagging.is_empty());
     assert_identical_tips(&cluster);
+    cluster.shutdown();
+}
+
+/// A cohort killed while several clients commit restarts over its own
+/// surviving directory and rejoins under the same load: it catches up
+/// within 10 s, commits keep landing after the rejoin, and the run ends
+/// with identical tips and a clean audit.
+#[test]
+fn cohort_rejoins_under_live_load() {
+    const LOADERS: u32 = 3;
+    let dir = fides_durability::testutil::TempDir::new("rejoin-live");
+    let victim = N_SERVERS - 1;
+    let mut cluster = FidesCluster::start(
+        ClusterConfig::new(N_SERVERS)
+            .items_per_shard(ITEMS)
+            .batch_size(8)
+            .flush_interval(Duration::from_millis(5))
+            // While the victim is dead every round waits for its vote;
+            // a short phase timeout keeps that window short.
+            .round_timeout(Duration::from_millis(300))
+            .persistence(PersistenceConfig::files(dir.path()).wal(WalConfig {
+                sync: SyncPolicy::Pipelined,
+                ..WalConfig::default()
+            })),
+    );
+    let committed = Arc::new(AtomicUsize::new(0));
+    let stop = Arc::new(AtomicBool::new(false));
+    let loaders: Vec<_> = (0..LOADERS)
+        .map(|c| {
+            let mut client = cluster.client(c);
+            // Requests to the dead server fail fast, so the load keeps
+            // probing and resumes at the rejoin.
+            client.set_op_timeout(Duration::from_millis(500));
+            let (committed, stop) = (Arc::clone(&committed), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                let mut i = c as usize;
+                while !stop.load(Ordering::Relaxed) {
+                    let keys = [FidesCluster::key_name(i as u32 % N_SERVERS, i % ITEMS)];
+                    if client
+                        .run_rmw_batched(&keys, 1)
+                        .is_ok_and(|o| o.committed())
+                    {
+                        committed.fetch_add(1, Ordering::Relaxed);
+                    }
+                    i += LOADERS as usize;
+                }
+            })
+        })
+        .collect();
+    let await_commits = |target: usize, when: &str| {
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while committed.load(Ordering::Relaxed) < target {
+            let seen = committed.load(Ordering::Relaxed);
+            assert!(Instant::now() < deadline, "{seen} commits {when}");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    };
+    await_commits(20, "before the kill");
+
+    cluster.crash_server(victim);
+    std::thread::sleep(Duration::from_millis(200));
+    cluster.restart_server(victim).expect("restart");
+    assert!(
+        cluster.await_rejoin(victim, Duration::from_secs(10)),
+        "victim must rejoin within 10 s under load"
+    );
+    let at_rejoin = committed.load(Ordering::Relaxed);
+    await_commits(at_rejoin + 20, "after the rejoin");
+    stop.store(true, Ordering::Relaxed);
+    for loader in loaders {
+        loader.join().expect("load thread");
+    }
+
+    cluster.flush();
+    cluster.settle(Duration::from_secs(10)).expect("settles");
+    assert_identical_tips(&cluster);
+    let report = cluster.audit();
+    assert!(report.is_clean(), "{report}");
+    assert!(report.lagging.is_empty());
+    cluster.shutdown();
+}
+
+/// A round that times out leaves the cohorts that voted commit holding
+/// their speculative root for its height. The next round at that height
+/// need not involve them, and it must commit instead of being refused
+/// by each of them for a root mismatch.
+#[test]
+fn round_after_a_timed_out_round_at_its_height_commits() {
+    let victim = N_SERVERS - 1;
+    let mut cluster = FidesCluster::start(
+        ClusterConfig::new(N_SERVERS)
+            .items_per_shard(ITEMS)
+            .flush_interval(Duration::from_millis(5))
+            .round_timeout(Duration::from_millis(300))
+            .persistence(PersistenceConfig::memory(MemoryCluster::new())),
+    );
+    let mut client = cluster.client(0);
+    // Cohorts 1 and 2 vote commit at height 0; the dead victim never
+    // votes, so the round times out.
+    cluster.crash_server(victim);
+    let cohort_keys = [FidesCluster::key_name(1, 0), FidesCluster::key_name(2, 0)];
+    let timed_out = client.run_rmw_batched(&cohort_keys, 1);
+    assert!(
+        !timed_out.as_ref().is_ok_and(|o| o.committed()),
+        "{timed_out:?}"
+    );
+    cluster.restart_server(victim).expect("restart");
+    assert!(cluster.await_rejoin(victim, Duration::from_secs(10)));
+    assert_eq!(cluster.server_state(0).next_height(), 0);
+
+    // Height 0 again, on the leader's shard alone.
+    let outcome = client
+        .run_rmw_batched(&[FidesCluster::key_name(0, 0)], 1)
+        .expect("commit");
+    assert!(outcome.committed(), "{outcome:?}");
+    let refusals: Vec<_> = (0..N_SERVERS)
+        .flat_map(|s| cluster.server_state(s).refusals())
+        .collect();
+    assert!(refusals.is_empty(), "{refusals:?}");
     cluster.shutdown();
 }
 

@@ -58,30 +58,11 @@ pub struct PipelineConfig {
     /// disk; the log's archive hook, when configured, still preserves
     /// history for the auditor.
     pub prune_wal: bool,
-    /// How long the writer keeps gathering appends after the greedy
-    /// drain before issuing the covering fsync. Zero (the default)
-    /// fsyncs as soon as the queue runs dry — the pre-gather behaviour.
-    /// A window lets blocks from consecutive rounds share one disk
-    /// round-trip, raising the group-commit batching factor
-    /// (`durability.batch_blocks`).
-    ///
-    /// The window is *demand-driven*: it only runs while nothing is
-    /// waiting on the fsync. A registered durable-ack ([`CommitPipeline
-    /// ::on_durable`]) or a barrier command (flush, reset, kill,
-    /// snapshot and archive queries) cuts it short immediately, so a
-    /// round leader's outcome fan-out never waits out the gather — in
-    /// practice only follower replicas (which append every decided
-    /// block but have no waiters) coalesce, and the window can be
-    /// generous (tens of milliseconds) without touching commit latency.
-    pub gather_window: Duration,
 }
 
 impl Default for PipelineConfig {
     fn default() -> Self {
-        PipelineConfig {
-            prune_wal: true,
-            gather_window: Duration::ZERO,
-        }
+        PipelineConfig { prune_wal: true }
     }
 }
 
@@ -441,71 +422,9 @@ fn writer_loop(
         while let Ok(cmd) = rx.try_recv() {
             batch.push(cmd);
         }
-        // Gather window: with plain appends in hand and no barrier
-        // demanding an immediate fsync, wait a little longer for more
-        // appends — blocks from the next overlapped round arrive within
-        // the window and ride the same covering fsync. A barrier command
-        // (flush/reset/kill, or a query someone blocks on) ends the
-        // gather immediately.
-        //
-        // The gather is *demand-driven*: a registered durable-ack means
-        // someone (a leader's outcome fan-out, a blocked client) is
-        // waiting on the covering fsync, so the writer stops gathering
-        // and syncs at once. On a follower — which appends every
-        // decided block but never has a waiter — the window runs its
-        // full course and several rounds' blocks coalesce into one
-        // fsync; on the round leader the ack registered right after the
-        // append cancels the window within a poll slice, keeping commit
-        // latency flat. Waiters are polled (not signalled), so a
-        // freshly registered ack is noticed within ~1ms.
-        let is_barrier = |cmd: &Cmd| {
-            matches!(
-                cmd,
-                Cmd::Flush(_)
-                    | Cmd::Reset(..)
-                    | Cmd::Kill
-                    | Cmd::LoadLatest(_)
-                    | Cmd::ReadArchived(_)
-            )
-        };
         // Traced appends in this batch: their `wal.fsync` spans close
         // after the covering fsync below.
         let mut traced: Vec<(AppendTrace, u64)> = Vec::new();
-        let has_waiters = || {
-            !state
-                .pending_acks
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .is_empty()
-        };
-        if !config.gather_window.is_zero()
-            && batch.iter().any(|cmd| matches!(cmd, Cmd::Append(..)))
-            && !batch.iter().any(is_barrier)
-            && !has_waiters()
-        {
-            let gather_deadline = Instant::now() + config.gather_window;
-            const POLL_SLICE: Duration = Duration::from_millis(1);
-            'gather: loop {
-                let now = Instant::now();
-                if now >= gather_deadline || has_waiters() {
-                    break;
-                }
-                if let Ok(cmd) = rx.recv_timeout((gather_deadline - now).min(POLL_SLICE)) {
-                    let barrier = is_barrier(&cmd);
-                    batch.push(cmd);
-                    if barrier {
-                        break 'gather;
-                    }
-                    while let Ok(extra) = rx.try_recv() {
-                        let barrier = is_barrier(&extra);
-                        batch.push(extra);
-                        if barrier {
-                            break 'gather;
-                        }
-                    }
-                }
-            }
-        }
         for cmd in batch {
             match cmd {
                 Cmd::Append(block, trace) => {
@@ -861,64 +780,6 @@ mod tests {
     }
 
     #[test]
-    fn gather_window_coalesces_appends_into_one_fsync() {
-        let disk = MemoryBlockLog::new();
-        let pipeline = CommitPipeline::new(
-            Box::new(disk.handle()),
-            Box::new(MemorySnapshotStore::new()),
-            0,
-            PipelineConfig {
-                prune_wal: true,
-                gather_window: Duration::from_millis(500),
-            },
-        );
-        let metrics = PipelineMetrics::default();
-        pipeline.set_metrics(metrics.clone());
-        // Trickle blocks in slower than the writer drains but well
-        // inside the gather window: without the window each would get
-        // its own fsync; with it they share one.
-        let blocks = chain(5);
-        for block in &blocks {
-            pipeline.submit_block(block);
-            std::thread::sleep(Duration::from_millis(20));
-        }
-        assert!(pipeline.wait_durable(4, Duration::from_secs(10)));
-        let batches = metrics.batch_blocks.snapshot();
-        assert_eq!(batches.count, 1, "all appends gathered into one fsync");
-        assert!(
-            batches.mean() >= 5.0 - f64::EPSILON,
-            "batch covered every block: mean {}",
-            batches.mean()
-        );
-        assert_eq!(disk.blocks().len(), 5);
-    }
-
-    #[test]
-    fn flush_barrier_cuts_the_gather_window_short() {
-        let disk = MemoryBlockLog::new();
-        let pipeline = CommitPipeline::new(
-            Box::new(disk.handle()),
-            Box::new(MemorySnapshotStore::new()),
-            0,
-            PipelineConfig {
-                prune_wal: true,
-                gather_window: Duration::from_secs(30),
-            },
-        );
-        let t0 = Instant::now();
-        for block in &chain(3) {
-            pipeline.submit_block(block);
-        }
-        pipeline.flush();
-        assert!(
-            t0.elapsed() < Duration::from_secs(10),
-            "flush must not wait out the gather window"
-        );
-        assert_eq!(pipeline.durable_height(), 3);
-        assert_eq!(disk.blocks().len(), 3);
-    }
-
-    #[test]
     fn pruning_waits_for_the_oldest_held_mirror() {
         let disk = MemoryBlockLog::new();
         let pipeline = CommitPipeline::new(
@@ -974,10 +835,7 @@ mod tests {
             Box::new(log),
             Box::new(snapshots),
             0,
-            PipelineConfig {
-                prune_wal: true,
-                ..PipelineConfig::default()
-            },
+            PipelineConfig { prune_wal: true },
         );
         for block in &blocks[..32] {
             pipeline.submit_block(block);
